@@ -58,7 +58,6 @@ from .annotate import (
     Annotation,
     VisitCounter,
     annotate,
-    annotate_typed,
     copoint_of,
     disconnect,
     point_of,

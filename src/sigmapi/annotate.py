@@ -5,14 +5,24 @@ A term is *pointed* when it factors through a point ``1 -> cod`` and
 is both is the unique *disconnect* of its homset.  One bottom-up pass
 computes both bits and a witness for each at every node.
 
-Point witnesses are kept in canonical form (built from ``!``, injections
-and tuples only); such terms are the sole members of their equivalence
-classes, so witness agreement at a cotuple node is plain structural
-equality.  Copoint witnesses are dual.  Two facts shape the rules:
+The calculus is self-dual, so each rule is written once for a *side*
+``s``: ``POINT`` (0) or ``COPOINT`` (1), the other side being ``1 - s``.
+Each row of the table below is a pair, entry ``[s]`` being side ``s``'s
+version: points are built from ``!``, injections and tuples, copoints
+from ``?``, projections and cotuples.  A side builds at one end of the
+typing ``(dom, cod)``, the point side at the codomain and the copoint
+side at the domain: side ``s`` builds at index ``1 - s`` and leaves
+index ``s`` alone.  An annotation is the pair of both witnesses,
+indexed by side.
+
+Witnesses are kept in canonical form (built from one side's
+constructors only); such terms are the sole members of their
+equivalence classes, so witness agreement at a pairing node is plain
+structural equality.  Two facts shape the rules:
 
 * a disconnect factors through *every* point of its codomain and every
   copoint of its domain, so agreement checks may skip a component that
-  is itself copointed (dually pointed);
+  also has a witness of the other side;
 * an injection ``s_j t`` whose body is copointed is pointed as soon as
   the codomain has a point at all, because a copointed arrow into a
   pointed object is the disconnect (dually for projections).
@@ -37,58 +47,51 @@ from .terms import (
     Tuple,
     TypedTerm,
 )
-from .types import (
-    Gen,
-    ObjectType,
-    One,
-    Prod,
-    Sum,
-    Zero,
-    ONE,
-    ZERO,
-    type_copointed,
-    type_pointed,
-)
+from .types import Gen, ObjectType, One, Prod, Sum, Zero, ONE, ZERO, type_pointed
+
+POINT, COPOINT = 0, 1
+
+UNIT = (BANG, QUEST)        # the unit arrow
+UNIT_OBJ = (ONE, ZERO)      # the object it meets
+UNARY = (Inj, Proj)         # the unary constructor
+UNARY_TYPE = (Sum, Prod)    # the type it reaches into
+PAIR = (Tuple, Cotuple)     # the pairing
+PAIR_TYPE = (Prod, Sum)     # the type it builds
+
+
+def by_side(s: int, mine, other) -> tuple:
+    """The pair with ``mine`` at index ``s`` and ``other`` at ``1 - s``."""
+    return (mine, other) if s == POINT else (other, mine)
 
 
 @lru_cache(maxsize=None)
+def witness_of(s: int, t: ObjectType) -> Optional[Term]:
+    """A canonical point ``1 -> t`` (``s = POINT``) or copoint ``t -> 0``
+    (``s = COPOINT``), or None; the unary constructor prefers index 0."""
+    if t is UNIT_OBJ[s]:
+        return UNIT[s]
+    if isinstance(t, PAIR_TYPE[s]):
+        l, r = witness_of(s, t.left), witness_of(s, t.right)
+        return PAIR[s](l, r) if l is not None and r is not None else None
+    if isinstance(t, UNARY_TYPE[s]):
+        l = witness_of(s, t.left)
+        if l is not None:
+            return UNARY[s](0, l)
+        r = witness_of(s, t.right)
+        return UNARY[s](1, r) if r is not None else None
+    if isinstance(t, (Zero, One, Gen)):
+        return None
+    raise TypeError(f"not a type: {t!r}")
+
+
 def point_of(t: ObjectType) -> Optional[Term]:
     """A canonical point ``1 -> t``, or None; injections prefer index 0."""
-    match t:
-        case One():
-            return BANG
-        case Zero() | Gen():
-            return None
-        case Prod(left, right):
-            l, r = point_of(left), point_of(right)
-            return Tuple(l, r) if l is not None and r is not None else None
-        case Sum(left, right):
-            l = point_of(left)
-            if l is not None:
-                return Inj(0, l)
-            r = point_of(right)
-            return Inj(1, r) if r is not None else None
-    raise TypeError(f"not a type: {t!r}")
+    return witness_of(POINT, t)
 
 
-@lru_cache(maxsize=None)
 def copoint_of(t: ObjectType) -> Optional[Term]:
     """A canonical copoint ``t -> 0``, or None; projections prefer index 0."""
-    match t:
-        case Zero():
-            return QUEST
-        case One() | Gen():
-            return None
-        case Sum(left, right):
-            l, r = copoint_of(left), copoint_of(right)
-            return Cotuple(l, r) if l is not None and r is not None else None
-        case Prod(left, right):
-            l = copoint_of(left)
-            if l is not None:
-                return Proj(0, l)
-            r = copoint_of(right)
-            return Proj(1, r) if r is not None else None
-    raise TypeError(f"not a type: {t!r}")
+    return witness_of(COPOINT, t)
 
 
 def disconnect(dom: ObjectType, cod: ObjectType) -> Optional[Term]:
@@ -100,22 +103,36 @@ def disconnect(dom: ObjectType, cod: ObjectType) -> Optional[Term]:
     return compose(c, QUEST)
 
 
-class Annotation:
-    __slots__ = ("pointed", "copointed", "point_witness", "copoint_witness")
+class Annotation(tuple):
+    """The pair ``(point witness, copoint witness)`` of a term, indexed by
+    side; None where the term has none.  Being the pair itself, not an
+    object holding one, it costs one allocation per node."""
 
-    def __init__(self, pointed, copointed, point_witness, copoint_witness):
-        self.pointed = pointed
-        self.copointed = copointed
-        self.point_witness = point_witness
-        self.copoint_witness = copoint_witness
+    __slots__ = ()
+
+    @property
+    def point_witness(self) -> Optional[Term]:
+        return self[POINT]
+
+    @property
+    def copoint_witness(self) -> Optional[Term]:
+        return self[COPOINT]
+
+    @property
+    def pointed(self) -> bool:
+        return self[POINT] is not None
+
+    @property
+    def copointed(self) -> bool:
+        return self[COPOINT] is not None
 
     @property
     def definite(self) -> bool:
-        return not (self.pointed or self.copointed)
+        return self[POINT] is None and self[COPOINT] is None
 
     @property
     def is_disconnect(self) -> bool:
-        return self.pointed and self.copointed
+        return self[POINT] is not None and self[COPOINT] is not None
 
     def __repr__(self):
         return (f"Annotation(pointed={self.pointed}, copointed={self.copointed}, "
@@ -131,6 +148,11 @@ class AnnotatedTerm:
         self.cod = cod
         self.ann = ann
         self.children = children
+
+    def end(self, i: int) -> ObjectType:
+        """The domain (``i = 0``) or the codomain (``i = 1``); side ``s``
+        builds at ``end(1 - s)``."""
+        return self.cod if i else self.dom
 
     def __str__(self) -> str:
         return str(TypedTerm(self.term, self.dom, self.cod))
@@ -151,95 +173,52 @@ class VisitCounter:
         self.visits += 1
 
 
-def _make(term, dom, cod, pointed, copointed, p_wit, c_wit, children):
-    assert pointed == (p_wit is not None) and copointed == (c_wit is not None)
-    return AnnotatedTerm(term, dom, cod, Annotation(pointed, copointed, p_wit, c_wit), children)
+def _make(s, term, free, built, mine, other, children) -> AnnotatedTerm:
+    """Side ``s``'s node: ``free``, ``mine`` at index ``s``; ``built``, ``other`` at ``1 - s``."""
+    if s == POINT:
+        return AnnotatedTerm(term, free, built, Annotation((mine, other)), children)
+    return AnnotatedTerm(term, built, free, Annotation((other, mine)), children)
 
 
-def ann_bang(dom: ObjectType) -> AnnotatedTerm:
-    c = copoint_of(dom)
-    return _make(BANG, dom, ONE, True, c is not None, BANG, c, ())
+def ann_unit(s: int, free: ObjectType) -> AnnotatedTerm:
+    """The unit arrow of side ``s`` (``! : free -> 1`` or ``? : 0 -> free``)."""
+    return _make(s, UNIT[s], free, UNIT_OBJ[s], UNIT[s], witness_of(1 - s, free), ())
 
 
-def ann_quest(cod: ObjectType) -> AnnotatedTerm:
-    p = point_of(cod)
-    return _make(QUEST, ZERO, cod, p is not None, True, p, QUEST, ())
-
-
-def ann_genarrow(t: GenArrow, dom: ObjectType, cod: ObjectType) -> AnnotatedTerm:
-    return _make(t, dom, cod, False, False, None, None, ())
-
-
-def ann_inj(j: int, body: AnnotatedTerm, cod: Sum) -> AnnotatedTerm:
-    a = body.ann
-    copointed = a.copointed
-    if a.pointed and not copointed:
-        p_wit = Inj(j, a.point_witness)
-        pointed = True
-    elif copointed and type_pointed(cod):
-        p_wit = point_of(cod)  # disconnect: any point serves
-        pointed = True
+def ann_unary(s: int, k: int, body: AnnotatedTerm, built: ObjectType) -> AnnotatedTerm:
+    """``s_k body`` into the sum ``built`` (``s = POINT``), or ``p_k body``
+    out of the product ``built`` (``s = COPOINT``)."""
+    w = body.ann
+    o = 1 - s
+    if w[s] is not None and w[o] is None:
+        mine = UNARY[s](k, w[s])
+    elif w[o] is not None:
+        mine = witness_of(s, built)  # disconnect: any (co)point serves
     else:
-        p_wit, pointed = None, False
-    return _make(Inj(j, body.term), body.dom, cod, pointed, copointed,
-                 p_wit, a.copoint_witness, (body,))
+        mine = None
+    return _make(s, UNARY[s](k, body.term), body.end(s), built, mine, w[o], (body,))
 
 
-def ann_proj(i: int, body: AnnotatedTerm, dom: Prod) -> AnnotatedTerm:
-    a = body.ann
-    pointed = a.pointed
-    if a.copointed and not pointed:
-        c_wit = Proj(i, a.copoint_witness)
-        copointed = True
-    elif pointed and type_copointed(dom):
-        c_wit = copoint_of(dom)  # disconnect: any copoint serves
-        copointed = True
+def ann_pair(s: int, left: AnnotatedTerm, right: AnnotatedTerm) -> AnnotatedTerm:
+    """The tuple (``s = POINT``) or cotuple (``s = COPOINT``) of two
+    annotated terms."""
+    lw, rw = left.ann, right.ann
+    o = 1 - s
+    built = PAIR_TYPE[s](left.end(o), right.end(o))
+    free = left.end(s)
+    mine = PAIR[s](lw[s], rw[s]) if lw[s] is not None and rw[s] is not None else None
+    # a common witness of the other side must exist; a component with a
+    # witness of this side too (hence disconnect) accepts any
+    if (lw[o] is None or rw[o] is None
+            or (lw[s] is None and rw[s] is None and lw[o] is not rw[o])):
+        other = None
+    elif lw[s] is None:
+        other = lw[o]
+    elif rw[s] is None:
+        other = rw[o]
     else:
-        c_wit, copointed = None, False
-    return _make(Proj(i, body.term), dom, body.cod, pointed, copointed,
-                 a.point_witness, c_wit, (body,))
-
-
-def ann_tuple(left: AnnotatedTerm, right: AnnotatedTerm) -> AnnotatedTerm:
-    la, ra = left.ann, right.ann
-    cod = Prod(left.cod, right.cod)
-    pointed = la.pointed and ra.pointed
-    p_wit = Tuple(la.point_witness, ra.point_witness) if pointed else None
-    # a common copoint must exist; a pointed (hence disconnect) component
-    # accepts any copoint of the domain
-    copointed = (la.copointed and ra.copointed
-                 and (la.pointed or ra.pointed
-                      or la.copoint_witness == ra.copoint_witness))
-    if not copointed:
-        c_wit = None
-    elif not la.pointed:
-        c_wit = la.copoint_witness
-    elif not ra.pointed:
-        c_wit = ra.copoint_witness
-    else:
-        c_wit = copoint_of(left.dom)
-    return _make(Tuple(left.term, right.term), left.dom, cod, pointed, copointed,
-                 p_wit, c_wit, (left, right))
-
-
-def ann_cotuple(left: AnnotatedTerm, right: AnnotatedTerm) -> AnnotatedTerm:
-    la, ra = left.ann, right.ann
-    dom = Sum(left.dom, right.dom)
-    copointed = la.copointed and ra.copointed
-    c_wit = Cotuple(la.copoint_witness, ra.copoint_witness) if copointed else None
-    pointed = (la.pointed and ra.pointed
-               and (la.copointed or ra.copointed
-                    or la.point_witness == ra.point_witness))
-    if not pointed:
-        p_wit = None
-    elif not la.copointed:
-        p_wit = la.point_witness
-    elif not ra.copointed:
-        p_wit = ra.point_witness
-    else:
-        p_wit = point_of(left.cod)
-    return _make(Cotuple(left.term, right.term), dom, left.cod, pointed, copointed,
-                 p_wit, c_wit, (left, right))
+        other = witness_of(o, free)
+    return _make(s, PAIR[s](left.term, right.term), free, built, mine, other, (left, right))
 
 
 def annotate(t: Term, dom: ObjectType, cod: ObjectType,
@@ -249,27 +228,23 @@ def annotate(t: Term, dom: ObjectType, cod: ObjectType,
         counter.tick()
     match t:
         case Bang():
-            return ann_bang(dom)
+            return ann_unit(POINT, dom)
         case Quest():
-            return ann_quest(cod)
+            return ann_unit(COPOINT, cod)
         case GenArrow():
-            return ann_genarrow(t, dom, cod)
+            return _make(POINT, t, dom, cod, None, None, ())
         case Proj(i, body):
             assert isinstance(dom, Prod)
-            return ann_proj(i, annotate(body, dom.component(i), cod, counter), dom)
+            return ann_unary(COPOINT, i, annotate(body, dom.component(i), cod, counter), dom)
         case Inj(j, body):
             assert isinstance(cod, Sum)
-            return ann_inj(j, annotate(body, dom, cod.component(j), counter), cod)
+            return ann_unary(POINT, j, annotate(body, dom, cod.component(j), counter), cod)
         case Tuple(left, right):
             assert isinstance(cod, Prod)
-            return ann_tuple(annotate(left, dom, cod.left, counter),
-                             annotate(right, dom, cod.right, counter))
+            return ann_pair(POINT, annotate(left, dom, cod.left, counter),
+                            annotate(right, dom, cod.right, counter))
         case Cotuple(left, right):
             assert isinstance(dom, Sum)
-            return ann_cotuple(annotate(left, dom.left, cod, counter),
-                               annotate(right, dom.right, cod, counter))
+            return ann_pair(COPOINT, annotate(left, dom.left, cod, counter),
+                            annotate(right, dom.right, cod, counter))
     raise ValueError(f"annotate: not a cut-free term: {t!r}")
-
-
-def annotate_typed(tt: TypedTerm, counter: Optional[VisitCounter] = None) -> AnnotatedTerm:
-    return annotate(tt.term, tt.dom, tt.cod, counter)

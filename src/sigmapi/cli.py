@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 equal / success, 1 not equal, 2 requires-oracle,
-64 usage, 65 parse or lookup error, 66 type error, 70 guard exceeded.
+64 usage, 65 parse or lookup error, 66 type error, 70 guard exceeded,
+71 internal error.
 All state flows through files and flags; output is plain text, or JSON
 (schema version 1) with ``--json``.
 """
@@ -48,6 +49,7 @@ EX_USAGE = 64
 EX_PARSE = 65
 EX_TYPE = 66
 EX_GUARD = 70
+EX_INTERNAL = 71
 
 
 class _Parser(argparse.ArgumentParser):
@@ -429,6 +431,10 @@ def run(argv=None) -> int:
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return EX_GUARD
+    except Exception as exc:  # a fault in the program, never a verdict
+        first_line = (str(exc).splitlines() or [""])[0]
+        print(f"internal error: {type(exc).__name__}: {first_line}", file=sys.stderr)
+        return EX_INTERNAL
 
 
 def main():

@@ -50,11 +50,11 @@ def identity(t: ObjectType) -> Term:
 
 
 def _smart_proj(i: int, body: Term) -> Term:
-    return BANG if body is BANG or isinstance(body, Bang) else Proj(i, body)
+    return BANG if body is BANG else Proj(i, body)
 
 
 def _smart_inj(j: int, body: Term) -> Term:
-    return QUEST if body is QUEST or isinstance(body, Quest) else Inj(j, body)
+    return QUEST if body is QUEST else Inj(j, body)
 
 
 def eliminate(t: Term) -> Term:

@@ -17,18 +17,23 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .annotate import (
+    COPOINT,
+    PAIR,
+    PAIR_TYPE,
+    POINT,
+    UNARY,
+    UNIT,
+    UNIT_OBJ,
     AnnotatedTerm,
     VisitCounter,
-    ann_bang,
-    ann_cotuple,
-    ann_inj,
-    ann_proj,
-    ann_quest,
-    ann_tuple,
+    ann_pair,
+    ann_unary,
+    ann_unit,
     annotate,
+    by_side,
 )
-from .factor import factor_inj, factor_proj
-from .terms import Bang, Cotuple, Inj, Proj, Quest, Term, Tuple
+from .factor import factor
+from .terms import Term
 from .types import ObjectType, Prod, Sum, ONE, ZERO, contains_gen, type_pointed
 
 
@@ -79,6 +84,9 @@ class RequiresOracle:
 
 Verdict = Union[Equal, NotEqual, RequiresOracle]
 
+SHARED = (SharedPoint, SharedCopoint)
+MISMATCH = ("point-mismatch", "copoint-mismatch")
+
 
 @dataclass
 class Stats:
@@ -92,44 +100,26 @@ class Stats:
 
 # -- componentwise decompositions (linear, annotation-maintaining) ----------
 
-def restrict_dom(f: AnnotatedTerm, k: int, counter: Optional[VisitCounter] = None) -> AnnotatedTerm:
-    """Cut-eliminated composite of the k-th domain injection with ``f``."""
-    assert isinstance(f.dom, Sum)
+def restrict(s: int, f: AnnotatedTerm, k: int,
+             counter: Optional[VisitCounter] = None) -> AnnotatedTerm:
+    """Cut-eliminated composite of ``f`` with the k-th codomain projection
+    (``s = POINT``), or of the k-th domain injection with ``f``
+    (``s = COPOINT``): the k-th branch of a pairing of side ``s``."""
+    o = 1 - s
+    assert isinstance(f.end(o), PAIR_TYPE[s])
     if counter is not None:
         counter.tick()
-    part = f.dom.component(k)
-    match f.term:
-        case Cotuple():
-            return f.children[k]
-        case Inj(j, _):
-            assert isinstance(f.cod, Sum)
-            return ann_inj(j, restrict_dom(f.children[0], k, counter), f.cod)
-        case Tuple():
-            return ann_tuple(restrict_dom(f.children[0], k, counter),
-                             restrict_dom(f.children[1], k, counter))
-        case Bang():
-            return ann_bang(part)
-    raise ValueError(f"restrict_dom: unexpected shape {f.term!r}")
-
-
-def restrict_cod(f: AnnotatedTerm, k: int, counter: Optional[VisitCounter] = None) -> AnnotatedTerm:
-    """Cut-eliminated composite of ``f`` with the k-th codomain projection."""
-    assert isinstance(f.cod, Prod)
-    if counter is not None:
-        counter.tick()
-    part = f.cod.component(k)
-    match f.term:
-        case Tuple():
-            return f.children[k]
-        case Proj(i, _):
-            assert isinstance(f.dom, Prod)
-            return ann_proj(i, restrict_cod(f.children[0], k, counter), f.dom)
-        case Cotuple():
-            return ann_cotuple(restrict_cod(f.children[0], k, counter),
-                               restrict_cod(f.children[1], k, counter))
-        case Quest():
-            return ann_quest(part)
-    raise ValueError(f"restrict_cod: unexpected shape {f.term!r}")
+    t = f.term
+    if type(t) is PAIR[s]:
+        return f.children[k]
+    if type(t) is UNARY[o]:
+        return ann_unary(o, t.index, restrict(s, f.children[0], k, counter), f.end(s))
+    if type(t) is PAIR[o]:
+        return ann_pair(o, restrict(s, f.children[0], k, counter),
+                        restrict(s, f.children[1], k, counter))
+    if t is UNIT[o]:
+        return ann_unit(o, f.end(o).component(k))
+    raise ValueError(f"restrict: unexpected shape {t!r}")
 
 
 # -- the decision procedure --------------------------------------------------
@@ -155,117 +145,78 @@ def decide_terms(f: Term, g: Term, dom: ObjectType, cod: ObjectType,
     return equal(annotate(f, dom, cod), annotate(g, dom, cod), stats)
 
 
-def _component(v: Verdict, k: int) -> Verdict:
-    if isinstance(v, NotEqual):
-        return NotEqual(f"component {k}: {v.reason}")
-    return v
-
-
 def _equal(f: AnnotatedTerm, g: AnnotatedTerm, stats: Stats) -> Verdict:
     stats.calls += 1
-    dom, cod = f.dom, f.cod
 
     # singleton homsets
-    if dom == ZERO or cod == ONE:
+    if f.dom is ZERO or f.cod is ONE:
         return Equal()
 
     # componentwise decomposition: domain sums first, then codomain products
-    if isinstance(dom, Sum):
-        for k in (0, 1):
-            v = _equal(restrict_dom(f, k, stats.counter),
-                       restrict_dom(g, k, stats.counter), stats)
-            if not isinstance(v, Equal):
-                return _component(v, k)
-        return Equal(SyntacticRecursion())
-    if isinstance(cod, Prod):
-        for k in (0, 1):
-            v = _equal(restrict_cod(f, k, stats.counter),
-                       restrict_cod(g, k, stats.counter), stats)
-            if not isinstance(v, Equal):
-                return _component(v, k)
-        return Equal(SyntacticRecursion())
+    for s in (COPOINT, POINT):
+        if isinstance(f.end(1 - s), PAIR_TYPE[s]):
+            for k in (0, 1):
+                v = _equal(restrict(s, f, k, stats.counter),
+                           restrict(s, g, k, stats.counter), stats)
+                if not isinstance(v, Equal):
+                    return NotEqual(f"component {k}: {v.reason}")
+            return Equal(SyntacticRecursion())
 
     # points: maps out of 1 are injections, and injections of points are
-    # monic (a cross-injection identification would need a copoint of 1)
-    if dom == ONE:
-        ft, gt = f.term, g.term
-        assert isinstance(ft, Inj) and isinstance(gt, Inj)
-        if ft.index != gt.index:
-            return NotEqual("corner-mismatch")
-        return _equal(f.children[0], g.children[0], stats)
+    # monic (a cross-injection identification would need a copoint of 1);
+    # copoints dually
+    for s in (POINT, COPOINT):
+        if f.end(s) is UNIT_OBJ[s]:
+            ft, gt = f.term, g.term
+            assert type(ft) is UNARY[s] and type(gt) is UNARY[s]
+            if ft.index != gt.index:
+                return NotEqual("corner-mismatch")
+            return _equal(f.children[0], g.children[0], stats)
 
-    # copoints, dually
-    if cod == ZERO:
-        ft, gt = f.term, g.term
-        assert isinstance(ft, Proj) and isinstance(gt, Proj)
-        if ft.index != gt.index:
-            return NotEqual("corner-mismatch")
-        return _equal(f.children[0], g.children[0], stats)
-
-    assert isinstance(dom, Prod) and isinstance(cod, Sum)
-    fa, ga = f.ann, g.ann
+    assert isinstance(f.dom, Prod) and isinstance(f.cod, Sum)
+    fw, gw = f.ann, g.ann
 
     # indefinite maps
-    if fa.is_disconnect or ga.is_disconnect:
-        if fa.is_disconnect and ga.is_disconnect:
+    if fw.is_disconnect or gw.is_disconnect:
+        if fw.is_disconnect and gw.is_disconnect:
             return Equal(Disconnect(f.term))
-        return NotEqual("point-mismatch" if fa.pointed != ga.pointed else "copoint-mismatch")
-    if fa.pointed or ga.pointed:
-        if fa.pointed != ga.pointed:
-            return NotEqual("point-mismatch")
-        v = _equal(annotate(fa.point_witness, ONE, cod),
-                   annotate(ga.point_witness, ONE, cod), stats)
-        if isinstance(v, Equal):
-            return Equal(SharedPoint(fa.point_witness))
-        return NotEqual("point-mismatch")
-    if fa.copointed or ga.copointed:
-        if fa.copointed != ga.copointed:
-            return NotEqual("copoint-mismatch")
-        v = _equal(annotate(fa.copoint_witness, dom, ZERO),
-                   annotate(ga.copoint_witness, dom, ZERO), stats)
-        if isinstance(v, Equal):
-            return Equal(SharedCopoint(fa.copoint_witness))
-        return NotEqual("copoint-mismatch")
+        return NotEqual("point-mismatch" if fw.pointed != gw.pointed else "copoint-mismatch")
+    for s in (POINT, COPOINT):
+        if fw[s] is not None or gw[s] is not None:
+            if fw[s] is None or gw[s] is None:
+                return NotEqual(MISMATCH[s])
+            v = _equal(annotate(fw[s], *by_side(s, UNIT_OBJ[s], f.end(1 - s))),
+                       annotate(gw[s], *by_side(s, UNIT_OBJ[s], f.end(1 - s))), stats)
+            if isinstance(v, Equal):
+                return Equal(SHARED[s](fw[s]))
+            return NotEqual(MISMATCH[s])
 
     # definite maps: resolve through the four factorizations
-    f_inj = _inj_factor(f, stats)
-    g_inj = _inj_factor(g, stats)
-    f_proj = _proj_factor(f, stats)
-    g_proj = _proj_factor(g, stats)
+    f_inj, g_inj = _factor(POINT, f, stats), _factor(POINT, g, stats)
+    f_proj, g_proj = _factor(COPOINT, f, stats), _factor(COPOINT, g, stats)
 
-    if f_inj is not None and g_proj is not None:
-        return _equivalent(f_inj[1], f_inj[0], g_proj[1], g_proj[0], stats)
-    if g_inj is not None and f_proj is not None:
-        return _equivalent(g_inj[1], g_inj[0], f_proj[1], f_proj[0], stats)
-    if f_inj is not None and g_inj is not None and f_inj[0] == g_inj[0]:
-        v = _equal(f_inj[1], g_inj[1], stats)
-        return Equal(SyntacticRecursion()) if isinstance(v, Equal) else v
-    if f_proj is not None and g_proj is not None and f_proj[0] == g_proj[0]:
-        v = _equal(f_proj[1], g_proj[1], stats)
-        return Equal(SyntacticRecursion()) if isinstance(v, Equal) else v
+    for inj, proj in ((f_inj, g_proj), (g_inj, f_proj)):
+        if inj is not None and proj is not None:
+            return _equivalent((inj, proj), stats)
+    for fk, gk in ((f_inj, g_inj), (f_proj, g_proj)):
+        if fk is not None and gk is not None and fk[0] == gk[0]:
+            v = _equal(fk[1], gk[1], stats)
+            return Equal(SyntacticRecursion()) if isinstance(v, Equal) else v
     return NotEqual("corner-mismatch")
 
 
-def _inj_factor(f: AnnotatedTerm, stats: Stats) -> Optional[tuple[int, AnnotatedTerm]]:
-    """The unique injection factor of a definite map, if any."""
-    for j in (0, 1):
-        low = factor_inj(f, j, stats.counter)
+def _factor(s: int, f: AnnotatedTerm, stats: Stats) -> Optional[tuple[int, AnnotatedTerm]]:
+    """The unique side-``s`` factor of a definite map, with its index, if any."""
+    for k in (0, 1):
+        low = factor(s, f, k, stats.counter)
         if low is not None:
-            return j, low
+            return k, low
     return None
 
 
-def _proj_factor(f: AnnotatedTerm, stats: Stats) -> Optional[tuple[int, AnnotatedTerm]]:
-    for i in (0, 1):
-        high = factor_proj(f, i, stats.counter)
-        if high is not None:
-            return i, high
-    return None
-
-
-def _equivalent(f_low: AnnotatedTerm, j: int, g_high: AnnotatedTerm, i: int,
-                stats: Stats) -> Verdict:
-    """Decide ``s_j f_low == p_i g_high`` for definite corner terms.
+def _equivalent(factors, stats: Stats) -> Verdict:
+    """Decide ``s_j f_low == p_i g_high`` for definite corner terms, given
+    ``factors = ((j, f_low), (i, g_high))``, indexed by side.
 
     There is a mediating ``h : X_i -> A_j`` with ``p_i h == f_low`` and
     ``s_j h == g_high`` exactly when the two sides are equal; in the
@@ -275,20 +226,15 @@ def _equivalent(f_low: AnnotatedTerm, j: int, g_high: AnnotatedTerm, i: int,
     ``h`` must be the projection factor of the ``f`` side.
     """
     stats.calls += 1
-    a_j = f_low.cod
-    full_dom = f_low.dom
-    full_cod = g_high.cod
-    assert isinstance(full_dom, Prod) and isinstance(full_cod, Sum)
-    if type_pointed(a_j):
-        h = factor_inj(g_high, j, stats.counter)
-        if h is None:
-            return NotEqual("lift-failure")
-        v = _equal(ann_proj(i, h, full_dom), f_low, stats)
-    else:
-        h = factor_proj(f_low, i, stats.counter)
-        if h is None:
-            return NotEqual("lift-failure")
-        v = _equal(ann_inj(j, h, full_cod), g_high, stats)
+    f_low = factors[POINT][1]
+    assert isinstance(f_low.dom, Prod) and isinstance(factors[COPOINT][1].cod, Sum)
+    s = POINT if type_pointed(f_low.cod) else COPOINT
+    o = 1 - s
+    (k_s, low_s), (k_o, low_o) = factors[s], factors[o]
+    h = factor(s, low_o, k_s, stats.counter)
+    if h is None:
+        return NotEqual("lift-failure")
+    v = _equal(ann_unary(o, k_o, h, low_s.end(s)), low_s, stats)
     if isinstance(v, Equal):
         return Equal(Bouncer(h.term))
     return v
@@ -308,8 +254,7 @@ def equivalent(f: AnnotatedTerm, g: AnnotatedTerm, stats: Optional[Stats] = None
     if not (f.ann.definite and g.ann.definite):
         raise ValueError("equivalent: both terms must be definite")
     stats = stats if stats is not None else Stats()
-    f_inj = _inj_factor(f, stats)
-    g_proj = _proj_factor(g, stats)
+    f_inj, g_proj = _factor(POINT, f, stats), _factor(COPOINT, g, stats)
     if f_inj is None or g_proj is None:
         raise ValueError("equivalent: terms do not factor as required")
-    return _equivalent(f_inj[1], f_inj[0], g_proj[1], g_proj[0], stats)
+    return _equivalent((f_inj, g_proj), stats)

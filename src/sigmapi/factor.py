@@ -1,10 +1,11 @@
 """Linear-time factorization of a term through a coproduct injection or a
 product projection.
 
-``factor_inj(f, j)`` returns an annotated ``f'`` with ``s_j f' == f`` (up
-to the permuting conversions), or None when no such factor exists; dually
-``factor_proj``.  Inputs must be pre-annotated so pointedness lookups are
-constant-time; the structural analysis:
+``factor(POINT, f, j)`` returns an annotated ``f'`` with ``s_j f' == f``
+(up to the permuting conversions), or None when no such factor exists;
+``factor(COPOINT, f, i)`` dually returns ``f'`` with ``p_i f' == f``.
+Inputs must be pre-annotated so pointedness lookups are constant-time;
+the structural analysis, for the injection side:
 
 * a syntactic ``s_j`` factor is taken as-is (deterministic and smallest);
 * otherwise a copointed term always factors, through its copoint;
@@ -17,84 +18,61 @@ from __future__ import annotations
 from typing import Optional
 
 from .annotate import (
+    COPOINT,
+    PAIR,
+    POINT,
+    UNARY,
+    UNARY_TYPE,
+    UNIT,
     AnnotatedTerm,
     VisitCounter,
-    ann_cotuple,
-    ann_inj,
-    ann_proj,
-    ann_tuple,
+    ann_pair,
+    ann_unary,
     annotate,
+    by_side,
 )
 from .compose import compose
-from .terms import BANG, QUEST, Cotuple, Inj, Proj, Quest, Bang, Tuple
-from .types import Prod, Sum
+
+
+def factor(s: int, f: AnnotatedTerm, k: int,
+           counter: Optional[VisitCounter] = None) -> Optional[AnnotatedTerm]:
+    """Factor ``f`` through the unary constructor of side ``s`` at index ``k``."""
+    o = 1 - s
+    assert isinstance(f.end(o), UNARY_TYPE[s]), "factor needs a sum codomain or a product domain"
+    if counter is not None:
+        counter.tick()
+    t = f.term
+    if type(t) is UNARY[s] and t.index == k:
+        return f.children[0]
+    if f.ann[o] is not None:
+        # a witness of the other side lifts through the unit object
+        through = compose(*by_side(s, f.ann[o], UNIT[o]))
+        return annotate(through, *by_side(s, f.end(s), f.end(o).component(k)))
+    if type(t) is UNARY[s]:  # the other index, without a witness: blocked
+        return None
+    if type(t) is PAIR[o]:
+        left = factor(s, f.children[0], k, counter)
+        if left is None:
+            return None
+        right = factor(s, f.children[1], k, counter)
+        if right is None:
+            return None
+        return ann_pair(o, left, right)
+    if type(t) is UNARY[o]:
+        body = factor(s, f.children[0], k, counter)
+        if body is None:
+            return None
+        return ann_unary(o, t.index, body, f.end(s))
+    raise ValueError(f"factor: unexpected shape {t!r}")
 
 
 def factor_inj(f: AnnotatedTerm, j: int,
                counter: Optional[VisitCounter] = None) -> Optional[AnnotatedTerm]:
     """Factor ``f : X -> A0+A1`` through the injection ``s_j``."""
-    assert isinstance(f.cod, Sum), "factor_inj needs a sum codomain"
-    if counter is not None:
-        counter.tick()
-    target = f.cod.component(j)
-    t = f.term
-    if isinstance(t, Inj) and t.index == j:
-        return f.children[0]
-    if f.ann.copointed:
-        low = compose(f.ann.copoint_witness, QUEST)
-        return annotate(low, f.dom, target)
-    match t:
-        case Inj():  # the other injection, not copointed: blocked
-            return None
-        case Quest():  # always copointed; unreachable, kept for safety
-            return annotate(QUEST, f.dom, target)
-        case Cotuple():
-            left = factor_inj(f.children[0], j, counter)
-            if left is None:
-                return None
-            right = factor_inj(f.children[1], j, counter)
-            if right is None:
-                return None
-            return ann_cotuple(left, right)
-        case Proj(i, _):
-            body = factor_inj(f.children[0], j, counter)
-            if body is None:
-                return None
-            assert isinstance(f.dom, Prod)
-            return ann_proj(i, body, f.dom)
-    raise ValueError(f"factor_inj: unexpected shape {t!r}")
+    return factor(POINT, f, j, counter)
 
 
 def factor_proj(f: AnnotatedTerm, i: int,
                 counter: Optional[VisitCounter] = None) -> Optional[AnnotatedTerm]:
     """Factor ``f : X0*X1 -> A`` through the projection ``p_i``."""
-    assert isinstance(f.dom, Prod), "factor_proj needs a product domain"
-    if counter is not None:
-        counter.tick()
-    source = f.dom.component(i)
-    t = f.term
-    if isinstance(t, Proj) and t.index == i:
-        return f.children[0]
-    if f.ann.pointed:
-        high = compose(BANG, f.ann.point_witness)
-        return annotate(high, source, f.cod)
-    match t:
-        case Proj():  # the other projection, not pointed: blocked
-            return None
-        case Bang():  # always pointed; unreachable, kept for safety
-            return annotate(BANG, source, f.cod)
-        case Tuple():
-            left = factor_proj(f.children[0], i, counter)
-            if left is None:
-                return None
-            right = factor_proj(f.children[1], i, counter)
-            if right is None:
-                return None
-            return ann_tuple(left, right)
-        case Inj(j, _):
-            body = factor_proj(f.children[0], i, counter)
-            if body is None:
-                return None
-            assert isinstance(f.cod, Sum)
-            return ann_inj(j, body, f.cod)
-    raise ValueError(f"factor_proj: unexpected shape {t!r}")
+    return factor(COPOINT, f, i, counter)

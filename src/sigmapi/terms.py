@@ -142,9 +142,6 @@ class Cut(Term):
 BANG = Bang()
 QUEST = Quest()
 
-# raw-only constructors; everything else is cut-free syntax
-RawTerm = Term
-
 
 def is_cut_free(t: Term) -> bool:
     match t:
@@ -156,18 +153,6 @@ def is_cut_free(t: Term) -> bool:
             return is_cut_free(left) and is_cut_free(right)
         case _:
             return True
-
-
-def contains_genarrow(t: Term) -> bool:
-    match t:
-        case GenArrow():
-            return True
-        case Proj(_, body) | Inj(_, body):
-            return contains_genarrow(body)
-        case Tuple(left, right) | Cotuple(left, right) | Cut(left, right):
-            return contains_genarrow(left) or contains_genarrow(right)
-        case _:
-            return False
 
 
 def term_metrics(t: Term) -> TypeMetrics:

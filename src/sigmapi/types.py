@@ -175,17 +175,6 @@ def contains_gen(t: ObjectType) -> bool:
             return False
 
 
-@lru_cache(maxsize=None)
-def gen_names(t: ObjectType) -> frozenset[str]:
-    match t:
-        case Gen(name):
-            return frozenset((name,))
-        case Sum(left, right) | Prod(left, right):
-            return gen_names(left) | gen_names(right)
-        case _:
-            return frozenset()
-
-
 def format_type(t: ObjectType) -> str:
     """Render a type in the surface syntax: ``*`` binds tighter than ``+``,
     both right-associative, parentheses where needed."""

@@ -132,3 +132,17 @@ def test_bench_csv(tmp_path, capsys):
     assert run(["bench", "--max-height", "3", "--csv", str(out)]) == 0
     header = out.read_text().splitlines()[0]
     assert header == "height,size_X,size_A,steps,micros"
+
+
+def test_internal_error_exit_code(tmp_path, capsys):
+    # legal input nested deeper than the recursive parser reaches: the
+    # failure must not surface under the NotEqual code 1
+    deep = "1"
+    for _ in range(2000):
+        deep = f"({deep}*1)"
+    src = tmp_path / "deep.spt"
+    src.write_text(f"term f : {deep} -> {deep} = id:{deep} ;\n"
+                   f"term g : {deep} -> {deep} = id:{deep} ;\n", encoding="utf-8")
+    assert run(["decide", str(src), "--left", "f", "--right", "g"]) == 71
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and err.count("\n") == 1

@@ -18,8 +18,6 @@ from .types import (
     format_type,
     iter_types,
     metrics,
-    type_copointed,
-    type_pointed,
 )
 from .graph import EMPTY_GRAPH, Edge, GeneratorGraph, make_graph
 from .terms import (
@@ -61,6 +59,8 @@ from .annotate import (
     copoint_of,
     disconnect,
     point_of,
+    type_copointed,
+    type_pointed,
 )
 from .factor import factor_inj, factor_proj
 from .decide import (

@@ -47,7 +47,7 @@ from .terms import (
     Tuple,
     TypedTerm,
 )
-from .types import Gen, ObjectType, One, Prod, Sum, Zero, ONE, ZERO, type_pointed
+from .types import Gen, ObjectType, One, Prod, Sum, Zero, ONE, ZERO
 
 POINT, COPOINT = 0, 1
 
@@ -92,6 +92,20 @@ def point_of(t: ObjectType) -> Optional[Term]:
 def copoint_of(t: ObjectType) -> Optional[Term]:
     """A canonical copoint ``t -> 0``, or None; projections prefer index 0."""
     return witness_of(COPOINT, t)
+
+
+def type_pointed(t: ObjectType) -> bool:
+    """Whether the homset from ``1`` into ``t`` is inhabited.
+
+    Generators are atomic: there is no map from the empty product into a
+    generator object, hence they are not pointed.
+    """
+    return witness_of(POINT, t) is not None
+
+
+def type_copointed(t: ObjectType) -> bool:
+    """Whether the homset from ``t`` into ``0`` is inhabited (dual of pointed)."""
+    return witness_of(COPOINT, t) is not None
 
 
 def disconnect(dom: ObjectType, cod: ObjectType) -> Optional[Term]:

@@ -31,10 +31,11 @@ from .annotate import (
     ann_unit,
     annotate,
     by_side,
+    type_pointed,
 )
 from .factor import factor
 from .terms import Term
-from .types import ObjectType, Prod, Sum, ONE, ZERO, contains_gen, type_pointed
+from .types import ObjectType, Prod, Sum, ONE, ZERO, contains_gen
 
 
 # -- verdicts ---------------------------------------------------------------
@@ -180,6 +181,8 @@ def _equal(f: AnnotatedTerm, g: AnnotatedTerm, stats: Stats) -> Verdict:
     if fw.is_disconnect or gw.is_disconnect:
         if fw.is_disconnect and gw.is_disconnect:
             return Equal(Disconnect(f.term))
+        if fw.pointed != gw.pointed and fw.copointed != gw.copointed:
+            return NotEqual("disconnect-mismatch")  # the other map is definite
         return NotEqual("point-mismatch" if fw.pointed != gw.pointed else "copoint-mismatch")
     for s in (POINT, COPOINT):
         if fw[s] is not None or gw[s] is not None:

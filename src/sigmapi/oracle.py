@@ -29,6 +29,7 @@ from .terms import (
     Quest,
     Term,
     Tuple,
+    infer,
     term_sort_key,
 )
 from .types import (
@@ -124,46 +125,39 @@ def neighbours(t: Term, dom: ObjectType, cod: ObjectType) -> list[Term]:
     return out
 
 
-def class_of(t: Term, dom: ObjectType, cod: ObjectType, *,
-             guard: int = DEFAULT_GUARD) -> EqClass:
-    """Closure of ``t`` under the permuting conversions: a worklist
-    fixpoint; raises GuardExceeded past ``guard`` members."""
+def _closure(t: Term, dom: ObjectType, cod: ObjectType, guard: int) -> Iterator[Term]:
+    """The members of the class of ``t`` in breadth-first order, ``t``
+    first; raises GuardExceeded past ``guard`` members, after yielding
+    the member that exceeds it."""
     seen: set[Term] = {t}
     todo: deque[Term] = deque((t,))
+    yield t
     while todo:
         cur = todo.popleft()
         for image in neighbours(cur, dom, cod):
             if image not in seen:
+                yield image
                 seen.add(image)
                 if len(seen) > guard:
                     raise GuardExceeded(
                         f"class closure at {format_type(dom)} -> {format_type(cod)} "
                         f"exceeded {guard} members")
                 todo.append(image)
-    return EqClass(dom, cod, frozenset(seen), min(seen, key=term_sort_key))
+
+
+def class_of(t: Term, dom: ObjectType, cod: ObjectType, *,
+             guard: int = DEFAULT_GUARD) -> EqClass:
+    """Closure of ``t`` under the permuting conversions: a worklist
+    fixpoint; raises GuardExceeded past ``guard`` members."""
+    members = frozenset(_closure(t, dom, cod, guard))
+    return EqClass(dom, cod, members, min(members, key=term_sort_key))
 
 
 def same_class(f: Term, g: Term, dom: ObjectType, cod: ObjectType, *,
                guard: int = DEFAULT_GUARD) -> bool:
     """Whether two parallel cut-free terms are related by the permuting
     conversions.  Breadth-first from ``f`` with early exit at ``g``."""
-    if f == g:
-        return True
-    seen: set[Term] = {f}
-    todo: deque[Term] = deque((f,))
-    while todo:
-        cur = todo.popleft()
-        for image in neighbours(cur, dom, cod):
-            if image == g:
-                return True
-            if image not in seen:
-                seen.add(image)
-                if len(seen) > guard:
-                    raise GuardExceeded(
-                        f"class closure at {format_type(dom)} -> {format_type(cod)} "
-                        f"exceeded {guard} members")
-                todo.append(image)
-    return False
+    return any(member is g for member in _closure(f, dom, cod, guard))
 
 
 _ENUM_CACHE: dict[tuple[ObjectType, ObjectType, GeneratorGraph], tuple[Term, ...]] = {}
@@ -253,11 +247,6 @@ def homset_classes(dom: ObjectType, cod: ObjectType,
     result = (tuple(classes), index)
     _PARTITION_CACHE[key] = result
     return result
-
-
-def clear_caches() -> None:
-    _ENUM_CACHE.clear()
-    _PARTITION_CACHE.clear()
 
 
 # -- the diagram of cardinals -------------------------------------------------
@@ -425,8 +414,6 @@ def find_bouncers(square: CardinalSquare, i: int, j: int, a0: Term, a2: Term,
                   guard: int = DEFAULT_GUARD) -> tuple[Term, ...]:
     """All side terms ``h : X_i -> A_j`` bouncing ``a0`` to ``a2``, i.e.
     with ``p_i h == p_i a0`` and ``s_j h == s_j a2`` up to conversion."""
-    from .terms import infer
-
     side_dom, side_cod = square.x(i), square.a(j)
     infer(a0, side_dom, side_cod, graph)
     infer(a2, side_dom, side_cod, graph)

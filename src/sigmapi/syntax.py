@@ -39,6 +39,9 @@ from .types import Gen, ObjectType, Prod, Sum, ONE, ZERO, format_type
 
 
 class ParseError(Exception):
+    """A syntax error at ``line`` and ``col`` (both 1-based), which are
+    computed from the offending token's offset only when it is raised."""
+
     def __init__(self, message: str, line: int, col: int):
         self.line = line
         self.col = col
@@ -46,42 +49,34 @@ class ParseError(Exception):
 
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+|\#[^\n]*)
-      | (?P<arrow>->)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<sym>[01!?<>{}(),;:+*@=.])
+    r"""\s+ | \#[^\n]*
+      | (-> | [A-Za-z_][A-Za-z0-9_]* | [01!?<>{}(),;:+*@=.])
+      | (.)
     """,
     re.VERBOSE,
 )
 
 _KEYWORDS = {"term", "graph", "node", "edge", "id"}
 _TERM_WORDS = {"p0", "p1", "s0", "s1", "id"}
+_TERM_START = _TERM_WORDS | {"!", "?", "<", "{", "(", "@"}
 
 
-@dataclass
-class _Token:
-    kind: str  # 'ident' | 'sym' | 'arrow' | 'eof'
-    text: str
-    line: int
-    col: int
+def _position(text: str, off: int) -> tuple[int, int]:
+    """The 1-based line and column of offset ``off`` in ``text``."""
+    return text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off)
 
 
-def _lex(text: str) -> list[_Token]:
+def _lex(text: str) -> list[tuple[str, int]]:
+    """The ``(token, offset)`` pairs of ``text``, ending with ``("", len(text))``;
+    whitespace and ``#`` comments are skipped."""
     tokens = []
-    pos, line, line_start = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind != "ws":
-            tokens.append(_Token(kind, chunk, line, m.start() - line_start + 1))
-        line += chunk.count("\n")
-        if "\n" in chunk:
-            line_start = m.start() + chunk.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, pos - line_start + 1))
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex  # None: skipped, 1: a token, 2: a stray character
+        if group == 1:
+            tokens.append((m[1], m.start()))
+        elif group:
+            raise ParseError(f"unexpected character {m[2]!r}", *_position(text, m.start()))
+    tokens.append(("", len(text)))
     return tokens
 
 
@@ -104,88 +99,82 @@ class Module:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], graph: GeneratorGraph = EMPTY_GRAPH):
-        self.toks = tokens
+    def __init__(self, text: str, graph: GeneratorGraph = EMPTY_GRAPH):
+        self.text = text
+        self.toks = _lex(text)
         self.i = 0
         self.graph = graph
 
     # -- token plumbing -------------------------------------------------
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+    def peek(self, ahead: int = 0) -> str:
+        return self.toks[min(self.i + ahead, len(self.toks) - 1)][0]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple[str, int]:
         tok = self.toks[self.i]
-        if tok.kind != "eof":
+        if tok[0]:
             self.i += 1
         return tok
 
-    def expect(self, text: str) -> _Token:
-        tok = self.next()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
-        return tok
+    def expect(self, text: str) -> None:
+        found, off = self.next()
+        if found != text:
+            raise self.error(f"expected {text!r}, found {found or 'end of input'!r}", off)
+
+    def error(self, message: str, off: int) -> ParseError:
+        return ParseError(message, *_position(self.text, off))
 
     def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        raise self.error(message, self.toks[self.i][1])
 
     # -- types -----------------------------------------------------------
     def type_(self) -> ObjectType:
         left = self.prod()
-        if self.peek().text == "+":
+        if self.peek() == "+":
             self.next()
             return Sum(left, self.type_())
         return left
 
     def prod(self) -> ObjectType:
         left = self.type_atom()
-        if self.peek().text == "*":
+        if self.peek() == "*":
             self.next()
             return Prod(left, self.prod())
         return left
 
     def type_atom(self) -> ObjectType:
-        tok = self.next()
-        if tok.text == "0":
+        tok, off = self.next()
+        if tok == "0":
             return ZERO
-        if tok.text == "1":
+        if tok == "1":
             return ONE
-        if tok.text == "(":
+        if tok == "(":
             t = self.type_()
             self.expect(")")
             return t
-        if tok.kind == "ident" and tok.text not in _KEYWORDS:
-            return Gen(tok.text)
-        raise ParseError(f"expected a type, found {tok.text or 'end of input'!r}",
-                         tok.line, tok.col)
+        if tok.isidentifier() and tok not in _KEYWORDS:
+            return Gen(tok)
+        raise self.error(f"expected a type, found {tok or 'end of input'!r}", off)
 
     # -- terms -----------------------------------------------------------
     def term(self) -> Term:
         t = self.prefix_term()
-        while self.peek().text == ";" and self._starts_term(self.peek(1)):
+        while self.peek() == ";" and self.peek(1) in _TERM_START:
             self.next()
             t = Cut(t, self.prefix_term())
         return t
 
-    @staticmethod
-    def _starts_term(tok: _Token) -> bool:
-        if tok.kind == "ident":
-            return tok.text in _TERM_WORDS
-        return tok.text in ("!", "?", "<", "{", "(", "@")
-
     def prefix_term(self) -> Term:
         tok = self.peek()
-        if tok.kind == "ident" and tok.text in ("p0", "p1", "s0", "s1"):
+        if tok in ("p0", "p1", "s0", "s1"):
             self.next()
-            index = int(tok.text[1])
+            index = int(tok[1])
             body = self.prefix_term()
-            return Proj(index, body) if tok.text[0] == "p" else Inj(index, body)
+            return Proj(index, body) if tok[0] == "p" else Inj(index, body)
         return self.atom_term()
 
     def atom_term(self) -> Term:
-        tok = self.next()
-        match tok.text:
+        tok, off = self.next()
+        match tok:
             case "!":
                 return BANG
             case "?":
@@ -210,41 +199,40 @@ class _Parser:
                 self.expect(":")
                 return Id(self.type_())
             case "@":
-                return self.gen_path(tok)
-        raise ParseError(f"expected a term, found {tok.text or 'end of input'!r}",
-                         tok.line, tok.col)
+                return self.gen_path(off)
+        raise self.error(f"expected a term, found {tok or 'end of input'!r}", off)
 
-    def gen_path(self, at: _Token) -> Term:
+    def gen_path(self, at: int) -> Term:
         names = [self.ident("generator path")]
-        while self.peek().text == ".":
+        while self.peek() == ".":
             self.next()
             names.append(self.ident("generator path"))
         first = names[0]
         if self.graph.has_node(first):
             if len(names) > 1:
-                raise ParseError(f"{first!r} is a node; @node takes no path", at.line, at.col)
+                raise self.error(f"{first!r} is a node; @node takes no path", at)
             return GenArrow(first, ())
         try:
             src = self.graph.edge(first).src
             self.graph.walk(src, tuple(names))
         except (KeyError, ValueError) as exc:
-            raise ParseError(str(exc), at.line, at.col) from None
+            raise self.error(str(exc), at) from None
         return GenArrow(src, tuple(names))
 
     def ident(self, what: str) -> str:
-        tok = self.next()
-        if tok.kind != "ident":
-            raise ParseError(f"expected an identifier in {what}", tok.line, tok.col)
-        return tok.text
+        tok, off = self.next()
+        if not tok.isidentifier():
+            raise self.error(f"expected an identifier in {what}", off)
+        return tok
 
     # -- files -----------------------------------------------------------
     def module(self) -> Module:
         graph = EMPTY_GRAPH
-        if self.peek().text == "graph":
+        if self.peek() == "graph":
             graph = self.graph_block()
         self.graph = graph
         decls: dict[str, Declaration] = {}
-        while self.peek().kind != "eof":
+        while self.peek():
             d = self.declaration()
             if d.name in decls:
                 self.fail(f"duplicate term name {d.name!r}")
@@ -256,12 +244,12 @@ class _Parser:
         self.expect("{")
         nodes: list[str] = []
         edges: list[Edge] = []
-        while self.peek().text != "}":
-            tok = self.next()
-            if tok.text == "node":
+        while self.peek() != "}":
+            tok, off = self.next()
+            if tok == "node":
                 nodes.append(self.ident("node declaration"))
                 self.expect(";")
-            elif tok.text == "edge":
+            elif tok == "edge":
                 name = self.ident("edge declaration")
                 self.expect(":")
                 src = self.ident("edge declaration")
@@ -270,7 +258,7 @@ class _Parser:
                 self.expect(";")
                 edges.append(Edge(name, src, dst))
             else:
-                raise ParseError("expected 'node' or 'edge'", tok.line, tok.col)
+                raise self.error("expected 'node' or 'edge'", off)
         self.expect("}")
         try:
             return GeneratorGraph(frozenset(nodes), tuple(edges))
@@ -284,9 +272,9 @@ class _Parser:
             self.fail(f"{name!r} is reserved")
         self.expect(":")
         dom = self.type_()
-        tok = self.next()
-        if tok.kind != "arrow":
-            raise ParseError("expected '->' in term declaration", tok.line, tok.col)
+        tok, off = self.next()
+        if tok != "->":
+            raise self.error("expected '->' in term declaration", off)
         cod = self.type_()
         self.expect("=")
         body = self.term()
@@ -295,9 +283,9 @@ class _Parser:
 
 
 def parse_type(text: str) -> ObjectType:
-    p = _Parser(_lex(text))
+    p = _Parser(text)
     t = p.type_()
-    if p.peek().kind != "eof":
+    if p.peek():
         p.fail("trailing input after type")
     return t
 
@@ -305,15 +293,15 @@ def parse_type(text: str) -> ObjectType:
 def parse_term(text: str, graph: GeneratorGraph = EMPTY_GRAPH) -> Term:
     """Parse a single (possibly raw) term; generator paths are resolved
     against ``graph``."""
-    p = _Parser(_lex(text), graph)
+    p = _Parser(text, graph)
     t = p.term()
-    if p.peek().kind != "eof":
+    if p.peek():
         p.fail("trailing input after term")
     return t
 
 
 def parse_module(text: str) -> Module:
-    return _Parser(_lex(text)).module()
+    return _Parser(text).module()
 
 
 def format_module(module: Module) -> str:

@@ -33,13 +33,6 @@ from .types import (
 
 class Term:
     __slots__ = ()
-    __hash__ = object.__hash__
-
-    def __eq__(self, other):
-        return self is other
-
-    def __ne__(self, other):
-        return self is not other
 
     def __repr__(self) -> str:
         return format_term(self)
@@ -50,7 +43,6 @@ class Bang(Term):
 
     __slots__ = ()
     __match_args__ = ()
-    __hash__ = object.__hash__
 
     def __new__(cls):
         return _intern(cls)
@@ -61,7 +53,6 @@ class Quest(Term):
 
     __slots__ = ()
     __match_args__ = ()
-    __hash__ = object.__hash__
 
     def __new__(cls):
         return _intern(cls)
@@ -70,7 +61,6 @@ class Quest(Term):
 class Proj(Term):
     __slots__ = ("index", "body")
     __match_args__ = ("index", "body")
-    __hash__ = object.__hash__
 
     def __new__(cls, index: int, body: Term):
         return _intern(cls, index, body)
@@ -79,7 +69,6 @@ class Proj(Term):
 class Inj(Term):
     __slots__ = ("index", "body")
     __match_args__ = ("index", "body")
-    __hash__ = object.__hash__
 
     def __new__(cls, index: int, body: Term):
         return _intern(cls, index, body)
@@ -88,7 +77,6 @@ class Inj(Term):
 class Tuple(Term):
     __slots__ = ("left", "right")
     __match_args__ = ("left", "right")
-    __hash__ = object.__hash__
 
     def __new__(cls, left: Term, right: Term):
         return _intern(cls, left, right)
@@ -97,7 +85,6 @@ class Tuple(Term):
 class Cotuple(Term):
     __slots__ = ("left", "right")
     __match_args__ = ("left", "right")
-    __hash__ = object.__hash__
 
     def __new__(cls, left: Term, right: Term):
         return _intern(cls, left, right)
@@ -111,7 +98,6 @@ class GenArrow(Term):
 
     __slots__ = ("src", "edges")
     __match_args__ = ("src", "edges")
-    __hash__ = object.__hash__
 
     def __new__(cls, src: str, edges: tuple[str, ...] = ()):
         return _intern(cls, src, tuple(edges))
@@ -122,7 +108,6 @@ class Id(Term):
 
     __slots__ = ("at",)
     __match_args__ = ("at",)
-    __hash__ = object.__hash__
 
     def __new__(cls, at: ObjectType):
         return _intern(cls, at)
@@ -133,7 +118,6 @@ class Cut(Term):
 
     __slots__ = ("left", "right")
     __match_args__ = ("left", "right")
-    __hash__ = object.__hash__
 
     def __new__(cls, left: Term, right: Term):
         return _intern(cls, left, right)

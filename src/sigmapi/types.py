@@ -35,13 +35,6 @@ def _intern(cls, *fields):
 
 class ObjectType:
     __slots__ = ()
-    __hash__ = object.__hash__
-
-    def __eq__(self, other):
-        return self is other
-
-    def __ne__(self, other):
-        return self is not other
 
     def __add__(self, other: "ObjectType") -> "Sum":
         return Sum(self, other)
@@ -56,7 +49,6 @@ class ObjectType:
 class Zero(ObjectType):
     __slots__ = ()
     __match_args__ = ()
-    __hash__ = object.__hash__
 
     def __new__(cls):
         return _intern(cls)
@@ -65,7 +57,6 @@ class Zero(ObjectType):
 class One(ObjectType):
     __slots__ = ()
     __match_args__ = ()
-    __hash__ = object.__hash__
 
     def __new__(cls):
         return _intern(cls)
@@ -74,7 +65,6 @@ class One(ObjectType):
 class Gen(ObjectType):
     __slots__ = ("name",)
     __match_args__ = ("name",)
-    __hash__ = object.__hash__
 
     def __new__(cls, name: str):
         return _intern(cls, name)
@@ -83,7 +73,6 @@ class Gen(ObjectType):
 class Sum(ObjectType):
     __slots__ = ("left", "right")
     __match_args__ = ("left", "right")
-    __hash__ = object.__hash__
 
     def __new__(cls, left: ObjectType, right: ObjectType):
         return _intern(cls, left, right)
@@ -95,7 +84,6 @@ class Sum(ObjectType):
 class Prod(ObjectType):
     __slots__ = ("left", "right")
     __match_args__ = ("left", "right")
-    __hash__ = object.__hash__
 
     def __new__(cls, left: ObjectType, right: ObjectType):
         return _intern(cls, left, right)
@@ -127,40 +115,6 @@ def metrics(t: ObjectType) -> TypeMetrics:
         case Sum(left, right) | Prod(left, right):
             l, r = metrics(left), metrics(right)
             return TypeMetrics(1 + l.size + r.size, 1 + max(l.height, r.height))
-    raise TypeError(f"not a type: {t!r}")
-
-
-@lru_cache(maxsize=None)
-def type_pointed(t: ObjectType) -> bool:
-    """Whether the homset from ``1`` into ``t`` is inhabited.
-
-    Generators are atomic: there is no map from the empty product into a
-    generator object, hence they are not pointed.
-    """
-    match t:
-        case One():
-            return True
-        case Zero() | Gen():
-            return False
-        case Prod(left, right):
-            return type_pointed(left) and type_pointed(right)
-        case Sum(left, right):
-            return type_pointed(left) or type_pointed(right)
-    raise TypeError(f"not a type: {t!r}")
-
-
-@lru_cache(maxsize=None)
-def type_copointed(t: ObjectType) -> bool:
-    """Whether the homset from ``t`` into ``0`` is inhabited (dual of pointed)."""
-    match t:
-        case Zero():
-            return True
-        case One() | Gen():
-            return False
-        case Prod(left, right):
-            return type_copointed(left) or type_copointed(right)
-        case Sum(left, right):
-            return type_copointed(left) and type_copointed(right)
     raise TypeError(f"not a type: {t!r}")
 
 

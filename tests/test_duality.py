@@ -11,6 +11,7 @@ by construction), half independent.
 """
 
 import random
+from collections import Counter
 from functools import lru_cache
 
 from sigmapi import (
@@ -29,6 +30,8 @@ from sigmapi import (
     Sum,
     Tuple,
     decide_terms,
+    enumerate_terms,
+    iter_types,
     neighbours,
 )
 
@@ -137,3 +140,26 @@ def test_equal_commutes_with_op():
             assert type(w.witness) is DUAL_KIND.get(kind, kind), (f, g, X, A, v, w)
     # both verdicts must be well represented among the independent pairs
     assert min(independent.values()) > PAIRS // 20, independent
+
+
+DUAL_REASON = {"point-mismatch": "copoint-mismatch", "copoint-mismatch": "point-mismatch",
+               "disconnect-mismatch": "disconnect-mismatch"}
+
+
+def test_mismatch_reasons_are_dual():
+    """Every product-to-sum homset with both types of size <= 5: a bare
+    mismatch reason for ``(f, g)`` is the dual reason for ``(op f, op g)``."""
+    checked = Counter()
+    for X in iter_types(5):
+        for A in iter_types(5):
+            if not (isinstance(X, Prod) and isinstance(A, Sum)):
+                continue
+            terms = enumerate_terms(X, A)
+            for f in terms:
+                for g in terms:
+                    v = decide_terms(f, g, X, A)
+                    if isinstance(v, NotEqual) and v.reason in DUAL_REASON:
+                        w = decide_terms(op(f), op(g), op_type(A), op_type(X))
+                        assert w == NotEqual(DUAL_REASON[v.reason]), (f, g, X, A, v, w)
+                        checked[v.reason] += 1
+    assert min(checked[r] for r in DUAL_REASON) > 0, checked

@@ -86,3 +86,33 @@ def test_duplicate_names_rejected():
 def test_format_type_roundtrip_nested():
     for src in ("((0+1)*1)+0", "1*(0+1*1)", "x*(y+1)"):
         assert format_type(parse_type(src)) == format_type(parse_type(format_type(parse_type(src))))
+
+
+_GRAPH = "graph { node x; node y; edge k : x -> y; }\n"
+
+
+@pytest.mark.parametrize("parse, text, message, line, col", [
+    (parse_type, "1 +\n(0 *\n 1 $ 0)", "unexpected character '$'", 3, 4),
+    (parse_module, "term a : 1 -> 1 = ! ; # note\n\t%", "unexpected character '%'", 2, 2),
+    (parse_type, "1 + (0 *", "expected a type, found 'end of input'", 1, 9),
+    (parse_term, "<!, {?,\n  s0", "expected a term, found 'end of input'", 2, 5),
+    (parse_module, "graph { node x;\n  edge k : x", "expected '->', found 'end of input'", 2, 13),
+    (parse_module, "graph { node x;\n  node y;\n", "expected 'node' or 'edge'", 3, 1),
+    (parse_module, "term a : 1 -> 1 = ! ;\nterm p1 : 1 -> 1 = ! ;", "'p1' is reserved", 2, 9),
+    (parse_module, "term a : 1 -> 1 = ! ;\n  term a : 0 -> 1 = ? ;\n",
+     "duplicate term name 'a'", 3, 1),
+    (parse_module, "graph { node x; edge k : x -> x;\n edge k : x -> x; }\nterm a : x -> x = @k ;",
+     "duplicate edge name 'k'", 3, 1),
+    (parse_module, _GRAPH + "term a : x -> y = @x.k ;", "'x' is a node; @node takes no path", 2, 19),
+    (parse_module, _GRAPH + "term a : x -> y =\n  @m ;", "\"no edge named 'm'\"", 3, 3),
+    (parse_module, "term a : 1 * 1\n  1 = ! ;", "expected '->' in term declaration", 2, 3),
+    (parse_type, "1 * 0 )", "trailing input after type", 1, 7),
+    (parse_term, "! !", "trailing input after term", 1, 3),
+], ids=["stray-character", "stray-after-comment", "eof-in-type", "eof-in-term", "eof-in-edge",
+        "eof-in-graph", "reserved-name", "duplicate-term", "duplicate-edge", "node-with-path",
+        "unknown-edge", "missing-arrow", "trailing-type", "trailing-term"])
+def test_parse_error_message_and_position(parse, text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (str(err.value), err.value.line, err.value.col) == (
+        f"{message} (line {line}, column {col})", line, col)

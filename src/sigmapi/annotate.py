@@ -237,28 +237,50 @@ def ann_pair(s: int, left: AnnotatedTerm, right: AnnotatedTerm) -> AnnotatedTerm
 
 def annotate(t: Term, dom: ObjectType, cod: ObjectType,
              counter: Optional[VisitCounter] = None) -> AnnotatedTerm:
-    """Annotate every node of a typed cut-free term in one bottom-up pass."""
+    """Annotate every node of a typed cut-free term in one bottom-up pass.
+
+    Terms and types are interned, so each distinct ``(subterm, dom, cod)``
+    is annotated once per call and its node shared.  ``counter`` still
+    counts tree nodes: a repeated subterm adds the visits its first
+    annotation took."""
+    return _annotate(t, dom, cod, counter, {})
+
+
+def _annotate(t: Term, dom: ObjectType, cod: ObjectType,
+              counter: Optional[VisitCounter], memo: dict) -> AnnotatedTerm:
+    """``annotate`` with its per-call memo: ``(t, dom, cod)`` maps to the
+    node and the visits its subtree took."""
+    key = (t, dom, cod)
+    done = memo.get(key)
+    if done is not None:
+        if counter is not None:
+            counter.visits += done[1]
+        return done[0]
     if counter is not None:
+        start = counter.visits
         counter.tick()
     match t:
         case Bang():
-            return ann_unit(POINT, dom)
+            a = ann_unit(POINT, dom)
         case Quest():
-            return ann_unit(COPOINT, cod)
+            a = ann_unit(COPOINT, cod)
         case GenArrow():
-            return _make(POINT, t, dom, cod, None, None, ())
+            a = _make(POINT, t, dom, cod, None, None, ())
         case Proj(i, body):
             assert isinstance(dom, Prod)
-            return ann_unary(COPOINT, i, annotate(body, dom.component(i), cod, counter), dom)
+            a = ann_unary(COPOINT, i, _annotate(body, dom.component(i), cod, counter, memo), dom)
         case Inj(j, body):
             assert isinstance(cod, Sum)
-            return ann_unary(POINT, j, annotate(body, dom, cod.component(j), counter), cod)
+            a = ann_unary(POINT, j, _annotate(body, dom, cod.component(j), counter, memo), cod)
         case Tuple(left, right):
             assert isinstance(cod, Prod)
-            return ann_pair(POINT, annotate(left, dom, cod.left, counter),
-                            annotate(right, dom, cod.right, counter))
+            a = ann_pair(POINT, _annotate(left, dom, cod.left, counter, memo),
+                         _annotate(right, dom, cod.right, counter, memo))
         case Cotuple(left, right):
             assert isinstance(dom, Sum)
-            return ann_pair(COPOINT, annotate(left, dom.left, cod, counter),
-                            annotate(right, dom.right, cod, counter))
-    raise ValueError(f"annotate: not a cut-free term: {t!r}")
+            a = ann_pair(COPOINT, _annotate(left, dom.left, cod, counter, memo),
+                         _annotate(right, dom.right, cod, counter, memo))
+        case _:
+            raise ValueError(f"annotate: not a cut-free term: {t!r}")
+    memo[key] = (a, counter.visits - start if counter is not None else 0)
+    return a

@@ -155,8 +155,8 @@ def cmd_decide(args) -> int:
                 payload |= {"verdict": "RequiresOracle", "reason": reason}
                 code = 2
         if args.stats:
-            payload["steps"] = stats.steps
-            text += f"  [steps={stats.steps}]"
+            payload |= {"steps": stats.steps, "dag_calls": stats.dag_calls}
+            text += f"  [steps={stats.steps} dag_calls={stats.dag_calls}]"
         _emit(payload, text, args.json)
         worst = max(worst, code)
     return worst

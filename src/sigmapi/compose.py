@@ -60,22 +60,37 @@ def _smart_inj(j: int, body: Term) -> Term:
 def eliminate(t: Term) -> Term:
     """Cut-free, identity-free form of a raw term.  The input must be
     well-typed (run ``infer`` first when in doubt); elimination itself is
-    purely structural."""
+    purely structural.
+
+    Terms are interned, so each distinct subterm is eliminated once and
+    each distinct pair of factors composed once per call."""
+    return _eliminate(t, {}, {})
+
+
+def _eliminate(t: Term, memo: dict, composed: dict) -> Term:
+    """``eliminate`` with its per-call memos: ``memo`` maps raw subterms to
+    their results, ``composed`` maps factor pairs to their composites.  A
+    node whose children come back unchanged is returned as it is, which
+    spares re-interning cut-free subterms."""
+    out = memo.get(t)
+    if out is not None:
+        return out
     match t:
         case Id(at):
-            return identity(at)
+            out = identity(at)
         case Cut(left, right):
-            return compose(eliminate(left), eliminate(right))
-        case Proj(i, body):
-            return Proj(i, eliminate(body))
-        case Inj(j, body):
-            return Inj(j, eliminate(body))
-        case Tuple(left, right):
-            return Tuple(eliminate(left), eliminate(right))
-        case Cotuple(left, right):
-            return Cotuple(eliminate(left), eliminate(right))
+            out = _compose(_eliminate(left, memo, composed),
+                           _eliminate(right, memo, composed), composed)
+        case Proj(i, body) | Inj(i, body):
+            b = _eliminate(body, memo, composed)
+            out = t if b is body else type(t)(i, b)
+        case Tuple(left, right) | Cotuple(left, right):
+            l, r = _eliminate(left, memo, composed), _eliminate(right, memo, composed)
+            out = t if l is left and r is right else type(t)(l, r)
         case _:
-            return t
+            out = t
+    memo[t] = out
+    return out
 
 
 def compose(f: Term, g: Term) -> Term:
@@ -87,23 +102,35 @@ def compose(f: Term, g: Term) -> Term:
     factor's injections/tuples; finally commutation under the left
     factor's projections/cotuples.
     """
+    return _compose(f, g, {})
+
+
+def _compose(f: Term, g: Term, memo: dict) -> Term:
+    """``compose`` with a per-call memo of the pairs already composed."""
+    key = (f, g)
+    out = memo.get(key)
+    if out is not None:
+        return out
     match (f, g):
         case (Quest(), _):
-            return QUEST
+            out = QUEST
         case (_, Bang()):
-            return BANG
+            out = BANG
         case (Tuple(), Proj(i, inner)):
-            return compose(f.left if i == 0 else f.right, inner)
+            out = _compose(f.left if i == 0 else f.right, inner, memo)
         case (Inj(j, inner), Cotuple()):
-            return compose(inner, g.left if j == 0 else g.right)
+            out = _compose(inner, g.left if j == 0 else g.right, memo)
         case (GenArrow(src, p), GenArrow(_, q)):
-            return GenArrow(src, p + q)
+            out = GenArrow(src, p + q)
         case (_, Inj(j, inner)):
-            return Inj(j, compose(f, inner))
+            out = Inj(j, _compose(f, inner, memo))
         case (_, Tuple(left, right)):
-            return Tuple(compose(f, left), compose(f, right))
+            out = Tuple(_compose(f, left, memo), _compose(f, right, memo))
         case (Proj(i, inner), _):
-            return Proj(i, compose(inner, g))
+            out = Proj(i, _compose(inner, g, memo))
         case (Cotuple(left, right), _):
-            return Cotuple(compose(left, g), compose(right, g))
-    raise ValueError(f"compose: no rule for {f!r} ; {g!r} (ill-typed or raw input)")
+            out = Cotuple(_compose(left, g, memo), _compose(right, g, memo))
+        case _:
+            raise ValueError(f"compose: no rule for {f!r} ; {g!r} (ill-typed or raw input)")
+    memo[key] = out
+    return out

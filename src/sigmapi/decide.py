@@ -91,12 +91,33 @@ MISMATCH = ("point-mismatch", "copoint-mismatch")
 
 @dataclass
 class Stats:
+    """Work of the decisions it was passed to.
+
+    ``calls`` and ``counter`` count the recursion as a tree, as if no
+    subproblem were shared; ``dag_calls`` counts the distinct subproblems
+    actually decided.  ``memo`` maps each subproblem to its verdict and
+    cost; it exists only while ``equal`` or ``equivalent`` runs.
+    """
+
     calls: int = 0
     counter: VisitCounter = field(default_factory=VisitCounter)
+    dag_calls: int = 0
+    memo: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def steps(self) -> int:
         return self.calls + self.counter.visits
+
+
+def _with_memo(stats: Stats, decide, *args) -> Verdict:
+    """``decide(*args, stats)`` with a fresh memo in ``stats``, dropped
+    when it returns."""
+    stats.memo = {}
+    try:
+        return decide(*args, stats)
+    finally:
+        stats.dag_calls += len(stats.memo)
+        stats.memo = None
 
 
 # -- componentwise decompositions (linear, annotation-maintaining) ----------
@@ -132,7 +153,7 @@ def equal(f: AnnotatedTerm, g: AnnotatedTerm, stats: Optional[Stats] = None) -> 
         raise ValueError("equal: terms are not parallel")
     if contains_gen(f.dom) or contains_gen(f.cod):
         return RequiresOracle()
-    return _equal(f, g, stats if stats is not None else Stats())
+    return _with_memo(stats if stats is not None else Stats(), _equal, f, g)
 
 
 def decide_with_stats(f: AnnotatedTerm, g: AnnotatedTerm) -> tuple[Verdict, Stats]:
@@ -147,65 +168,78 @@ def decide_terms(f: Term, g: Term, dom: ObjectType, cod: ObjectType,
 
 
 def _equal(f: AnnotatedTerm, g: AnnotatedTerm, stats: Stats) -> Verdict:
+    # The verdict and its cost depend only on the key, so a repeated key
+    # replays both: ``calls`` and visits keep counting the tree.  One exit,
+    # so the memo costs no stack frame per level.
+    key = (f.term, g.term, f.dom, f.cod)
+    done = stats.memo.get(key)
+    if done is not None:
+        v, calls, visits = done
+        stats.calls += calls
+        stats.counter.visits += visits
+        return v
+    calls, visits = stats.calls, stats.counter.visits
     stats.calls += 1
-
-    # singleton homsets
-    if f.dom is ZERO or f.cod is ONE:
-        return Equal()
-
-    # componentwise decomposition: domain sums first, then codomain products
-    for s in (COPOINT, POINT):
-        if isinstance(f.end(1 - s), PAIR_TYPE[s]):
-            for k in (0, 1):
-                v = _equal(restrict(s, f, k, stats.counter),
-                           restrict(s, g, k, stats.counter), stats)
-                if not isinstance(v, Equal):
-                    return NotEqual(f"component {k}: {v.reason}")
-            return Equal(SyntacticRecursion())
-
-    # points: maps out of 1 are injections, and injections of points are
-    # monic (a cross-injection identification would need a copoint of 1);
-    # copoints dually
-    for s in (POINT, COPOINT):
-        if f.end(s) is UNIT_OBJ[s]:
-            ft, gt = f.term, g.term
-            assert type(ft) is UNARY[s] and type(gt) is UNARY[s]
-            if ft.index != gt.index:
-                return NotEqual("corner-mismatch")
-            return _equal(f.children[0], g.children[0], stats)
-
-    assert isinstance(f.dom, Prod) and isinstance(f.cod, Sum)
     fw, gw = f.ann, g.ann
 
-    # indefinite maps
-    if fw.is_disconnect or gw.is_disconnect:
+    if f.dom is ZERO or f.cod is ONE:
+        # singleton homsets
+        v = Equal()
+    elif isinstance(f.dom, Sum) or isinstance(f.cod, Prod):
+        # componentwise decomposition: domain sums first, then codomain products
+        s = COPOINT if isinstance(f.dom, Sum) else POINT
+        v = Equal(SyntacticRecursion())
+        for k in (0, 1):
+            c = _equal(restrict(s, f, k, stats.counter),
+                       restrict(s, g, k, stats.counter), stats)
+            if not isinstance(c, Equal):
+                v = NotEqual(f"component {k}: {c.reason}")
+                break
+    elif f.dom is ONE or f.cod is ZERO:
+        # points: maps out of 1 are injections, and injections of points
+        # are monic (a cross-injection identification would need a
+        # copoint of 1); copoints dually
+        s = POINT if f.dom is ONE else COPOINT
+        ft, gt = f.term, g.term
+        assert type(ft) is UNARY[s] and type(gt) is UNARY[s]
+        if ft.index != gt.index:
+            v = NotEqual("corner-mismatch")
+        else:
+            v = _equal(f.children[0], g.children[0], stats)
+    # from here on the domain is a product and the codomain a sum
+    elif fw.is_disconnect or gw.is_disconnect:
+        # indefinite maps
         if fw.is_disconnect and gw.is_disconnect:
-            return Equal(Disconnect(f.term))
-        if fw.pointed != gw.pointed and fw.copointed != gw.copointed:
-            return NotEqual("disconnect-mismatch")  # the other map is definite
-        return NotEqual("point-mismatch" if fw.pointed != gw.pointed else "copoint-mismatch")
-    for s in (POINT, COPOINT):
-        if fw[s] is not None or gw[s] is not None:
-            if fw[s] is None or gw[s] is None:
-                return NotEqual(MISMATCH[s])
-            v = _equal(annotate(fw[s], *by_side(s, UNIT_OBJ[s], f.end(1 - s))),
+            v = Equal(Disconnect(f.term))
+        elif fw.pointed != gw.pointed and fw.copointed != gw.copointed:
+            v = NotEqual("disconnect-mismatch")  # the other map is definite
+        else:
+            v = NotEqual("point-mismatch" if fw.pointed != gw.pointed else "copoint-mismatch")
+    elif not (fw.definite and gw.definite):
+        s = POINT if fw[POINT] is not None or gw[POINT] is not None else COPOINT
+        if fw[s] is None or gw[s] is None:
+            v = NotEqual(MISMATCH[s])
+        else:
+            c = _equal(annotate(fw[s], *by_side(s, UNIT_OBJ[s], f.end(1 - s))),
                        annotate(gw[s], *by_side(s, UNIT_OBJ[s], f.end(1 - s))), stats)
-            if isinstance(v, Equal):
-                return Equal(SHARED[s](fw[s]))
-            return NotEqual(MISMATCH[s])
-
-    # definite maps: resolve through the four factorizations
-    f_inj, g_inj = _factor(POINT, f, stats), _factor(POINT, g, stats)
-    f_proj, g_proj = _factor(COPOINT, f, stats), _factor(COPOINT, g, stats)
-
-    for inj, proj in ((f_inj, g_proj), (g_inj, f_proj)):
-        if inj is not None and proj is not None:
-            return _equivalent((inj, proj), stats)
-    for fk, gk in ((f_inj, g_inj), (f_proj, g_proj)):
-        if fk is not None and gk is not None and fk[0] == gk[0]:
-            v = _equal(fk[1], gk[1], stats)
-            return Equal(SyntacticRecursion()) if isinstance(v, Equal) else v
-    return NotEqual("corner-mismatch")
+            v = Equal(SHARED[s](fw[s])) if isinstance(c, Equal) else NotEqual(MISMATCH[s])
+    else:
+        # definite maps: resolve through the four factorizations
+        f_inj, g_inj = _factor(POINT, f, stats), _factor(POINT, g, stats)
+        f_proj, g_proj = _factor(COPOINT, f, stats), _factor(COPOINT, g, stats)
+        if f_inj is not None and g_proj is not None:
+            v = _equivalent((f_inj, g_proj), stats)
+        elif g_inj is not None and f_proj is not None:
+            v = _equivalent((g_inj, f_proj), stats)
+        else:
+            v = NotEqual("corner-mismatch")
+            for fk, gk in ((f_inj, g_inj), (f_proj, g_proj)):
+                if fk is not None and gk is not None and fk[0] == gk[0]:
+                    c = _equal(fk[1], gk[1], stats)
+                    v = Equal(SyntacticRecursion()) if isinstance(c, Equal) else c
+                    break
+    stats.memo[key] = (v, stats.calls - calls, stats.counter.visits - visits)
+    return v
 
 
 def _factor(s: int, f: AnnotatedTerm, stats: Stats) -> Optional[tuple[int, AnnotatedTerm]]:
@@ -260,4 +294,4 @@ def equivalent(f: AnnotatedTerm, g: AnnotatedTerm, stats: Optional[Stats] = None
     f_inj, g_proj = _factor(POINT, f, stats), _factor(COPOINT, g, stats)
     if f_inj is None or g_proj is None:
         raise ValueError("equivalent: terms do not factor as required")
-    return _equivalent((f_inj, g_proj), stats)
+    return _with_memo(stats, _equivalent, (f_inj, g_proj))

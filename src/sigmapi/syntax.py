@@ -123,8 +123,12 @@ class _Parser:
     def error(self, message: str, off: int) -> ParseError:
         return ParseError(message, *_position(self.text, off))
 
+    def offset(self) -> int:
+        """The offset of the next token."""
+        return self.toks[self.i][1]
+
     def fail(self, message: str):
-        raise self.error(message, self.toks[self.i][1])
+        raise self.error(message, self.offset())
 
     # -- types -----------------------------------------------------------
     def type_(self) -> ObjectType:
@@ -216,7 +220,7 @@ class _Parser:
             src = self.graph.edge(first).src
             self.graph.walk(src, tuple(names))
         except (KeyError, ValueError) as exc:
-            raise self.error(str(exc), at) from None
+            raise self.error(exc.args[0], at) from None
         return GenArrow(src, tuple(names))
 
     def ident(self, what: str) -> str:
@@ -233,9 +237,7 @@ class _Parser:
         self.graph = graph
         decls: dict[str, Declaration] = {}
         while self.peek():
-            d = self.declaration()
-            if d.name in decls:
-                self.fail(f"duplicate term name {d.name!r}")
+            d = self.declaration(decls)
             decls[d.name] = d
         return Module(graph, decls)
 
@@ -243,31 +245,38 @@ class _Parser:
         self.expect("graph")
         self.expect("{")
         nodes: list[str] = []
-        edges: list[Edge] = []
+        edges: dict[str, Edge] = {}
         while self.peek() != "}":
             tok, off = self.next()
             if tok == "node":
                 nodes.append(self.ident("node declaration"))
                 self.expect(";")
             elif tok == "edge":
+                at = self.offset()
                 name = self.ident("edge declaration")
+                if name in edges:
+                    raise self.error(f"duplicate edge name {name!r}", at)
                 self.expect(":")
                 src = self.ident("edge declaration")
                 self.expect("->")
                 dst = self.ident("edge declaration")
                 self.expect(";")
-                edges.append(Edge(name, src, dst))
+                edges[name] = Edge(name, src, dst)
             else:
                 raise self.error("expected 'node' or 'edge'", off)
         self.expect("}")
         try:
-            return GeneratorGraph(frozenset(nodes), tuple(edges))
+            return GeneratorGraph(frozenset(nodes), tuple(edges.values()))
         except ValueError as exc:
             self.fail(str(exc))
 
-    def declaration(self) -> Declaration:
+    def declaration(self, taken) -> Declaration:
+        """One ``term`` declaration; its name must not be in ``taken``."""
         self.expect("term")
+        at = self.offset()
         name = self.ident("term declaration")
+        if name in taken:
+            raise self.error(f"duplicate term name {name!r}", at)
         if name in _KEYWORDS or name in _TERM_WORDS:
             self.fail(f"{name!r} is reserved")
         self.expect(":")

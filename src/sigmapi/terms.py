@@ -203,38 +203,46 @@ class TypingError(Exception):
 def infer(t: Term, dom: ObjectType, cod: ObjectType,
           graph: GeneratorGraph = EMPTY_GRAPH) -> TypedTerm:
     """Check ``t`` against ``dom -> cod``; raises TypingError at the first
-    failing position (leftmost outermost)."""
-    _check(t, dom, cod, graph, ())
+    failing position (leftmost outermost).
+
+    Each distinct ``(subterm, dom, cod)`` is checked once per call: terms
+    and types are interned, so a repeated triple is a constant-time hit.
+    """
+    _check(t, dom, cod, graph, (), set())
     return TypedTerm(t, dom, cod)
 
 
-def _check(t: Term, dom: ObjectType, cod: ObjectType,
-           graph: GeneratorGraph, path: tuple[int, ...]) -> None:
+def _check(t: Term, dom: ObjectType, cod: ObjectType, graph: GeneratorGraph,
+           path: tuple[int, ...], ok: set) -> None:
+    """Check one node; ``ok`` holds the triples that already checked."""
+    key = (t, dom, cod)
+    if key in ok:
+        return
     match t:
         case Bang():
-            if cod != ONE:
+            if cod is not ONE:
                 raise TypingError("'!' needs codomain 1", path, ONE, cod)
         case Quest():
-            if dom != ZERO:
+            if dom is not ZERO:
                 raise TypingError("'?' needs domain 0", path, ZERO, dom)
         case Proj(i, body):
             if not isinstance(dom, Prod):
                 raise TypingError(f"p{i} needs a product domain", path, found=dom)
-            _check(body, dom.component(i), cod, graph, path + (0,))
+            _check(body, dom.component(i), cod, graph, path + (0,), ok)
         case Inj(j, body):
             if not isinstance(cod, Sum):
                 raise TypingError(f"s{j} needs a sum codomain", path, found=cod)
-            _check(body, dom, cod.component(j), graph, path + (0,))
+            _check(body, dom, cod.component(j), graph, path + (0,), ok)
         case Tuple(left, right):
             if not isinstance(cod, Prod):
                 raise TypingError("tuple needs a product codomain", path, found=cod)
-            _check(left, dom, cod.left, graph, path + (0,))
-            _check(right, dom, cod.right, graph, path + (1,))
+            _check(left, dom, cod.left, graph, path + (0,), ok)
+            _check(right, dom, cod.right, graph, path + (1,), ok)
         case Cotuple(left, right):
             if not isinstance(dom, Sum):
                 raise TypingError("cotuple needs a sum domain", path, found=dom)
-            _check(left, dom.left, cod, graph, path + (0,))
-            _check(right, dom.right, cod, graph, path + (1,))
+            _check(left, dom.left, cod, graph, path + (0,), ok)
+            _check(right, dom.right, cod, graph, path + (1,), ok)
         case GenArrow(src, edges):
             if not isinstance(dom, Gen) or dom.name != src:
                 raise TypingError(f"generator arrow starts at {src}", path,
@@ -247,9 +255,9 @@ def _check(t: Term, dom: ObjectType, cod: ObjectType,
                 raise TypingError(f"generator path ends at {dst}", path,
                                   Gen(dst), cod)
         case Id(at):
-            if dom != at or cod != at:
+            if dom is not at or cod is not at:
                 raise TypingError(f"id at {format_type(at)}", path, at,
-                                  dom if dom != at else cod)
+                                  dom if dom is not at else cod)
         case Cut(left, right):
             mid = _synth_cod(left, dom, graph)
             if mid is None:
@@ -258,10 +266,11 @@ def _check(t: Term, dom: ObjectType, cod: ObjectType,
                 raise TypingError(
                     "cannot infer the middle type of a cut; anchor one side "
                     "with id:T", path)
-            _check(left, dom, mid, graph, path + (0,))
-            _check(right, mid, cod, graph, path + (1,))
+            _check(left, dom, mid, graph, path + (0,), ok)
+            _check(right, mid, cod, graph, path + (1,), ok)
         case _:
             raise TypingError(f"unknown term node {t!r}", path)
+    ok.add(key)
 
 
 def _synth_cod(t: Term, dom: Optional[ObjectType], graph: GeneratorGraph) -> Optional[ObjectType]:

@@ -120,13 +120,19 @@ def metrics(t: ObjectType) -> TypeMetrics:
 
 @lru_cache(maxsize=None)
 def contains_gen(t: ObjectType) -> bool:
-    match t:
-        case Gen():
+    """Whether a generator object occurs in ``t``.  Iterative, so the
+    nesting depth is not limited by the interpreter's stack, and each
+    distinct node is looked at once."""
+    seen = set()
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Gen):
             return True
-        case Sum(left, right) | Prod(left, right):
-            return contains_gen(left) or contains_gen(right)
-        case _:
-            return False
+        if isinstance(t, (Sum, Prod)) and t not in seen:
+            seen.add(t)
+            todo += (t.left, t.right)
+    return False
 
 
 def format_type(t: ObjectType) -> str:

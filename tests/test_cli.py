@@ -62,7 +62,7 @@ def test_decide_json_schema(spt, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["schema"] == 1
     assert payload["verdict"] == "Equal"
-    assert payload["steps"] >= 1
+    assert payload["steps"] >= payload["dag_calls"] >= 1
 
 
 def test_decide_batch_order(spt, capsys):

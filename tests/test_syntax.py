@@ -100,11 +100,11 @@ _GRAPH = "graph { node x; node y; edge k : x -> y; }\n"
     (parse_module, "graph { node x;\n  node y;\n", "expected 'node' or 'edge'", 3, 1),
     (parse_module, "term a : 1 -> 1 = ! ;\nterm p1 : 1 -> 1 = ! ;", "'p1' is reserved", 2, 9),
     (parse_module, "term a : 1 -> 1 = ! ;\n  term a : 0 -> 1 = ? ;\n",
-     "duplicate term name 'a'", 3, 1),
+     "duplicate term name 'a'", 2, 8),
     (parse_module, "graph { node x; edge k : x -> x;\n edge k : x -> x; }\nterm a : x -> x = @k ;",
-     "duplicate edge name 'k'", 3, 1),
+     "duplicate edge name 'k'", 2, 7),
     (parse_module, _GRAPH + "term a : x -> y = @x.k ;", "'x' is a node; @node takes no path", 2, 19),
-    (parse_module, _GRAPH + "term a : x -> y =\n  @m ;", "\"no edge named 'm'\"", 3, 3),
+    (parse_module, _GRAPH + "term a : x -> y =\n  @m ;", "no edge named 'm'", 3, 3),
     (parse_module, "term a : 1 * 1\n  1 = ! ;", "expected '->' in term declaration", 2, 3),
     (parse_type, "1 * 0 )", "trailing input after type", 1, 7),
     (parse_term, "! !", "trailing input after term", 1, 3),

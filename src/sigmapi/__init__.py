@@ -19,7 +19,7 @@ from .types import (
     iter_types,
     metrics,
 )
-from .graph import EMPTY_GRAPH, Edge, GeneratorGraph, make_graph
+from .graph import EMPTY_GRAPH, Edge, GeneratorGraph, InputError, make_graph
 from .terms import (
     BANG,
     QUEST,

@@ -6,14 +6,9 @@ is both is the unique *disconnect* of its homset.  One bottom-up pass
 computes both bits and a witness for each at every node.
 
 The calculus is self-dual, so each rule is written once for a *side*
-``s``: ``POINT`` (0) or ``COPOINT`` (1), the other side being ``1 - s``.
-Each row of the table below is a pair, entry ``[s]`` being side ``s``'s
-version: points are built from ``!``, injections and tuples, copoints
-from ``?``, projections and cotuples.  A side builds at one end of the
-typing ``(dom, cod)``, the point side at the codomain and the copoint
-side at the domain: side ``s`` builds at index ``1 - s`` and leaves
-index ``s`` alone.  An annotation is the pair of both witnesses,
-indexed by side.
+``s``, ``POINT`` or ``COPOINT``, read from the duality table of
+``terms`` (which also explains sides).  An annotation is the pair of
+both witnesses, indexed by side.
 
 Witnesses are kept in canonical form (built from one side's
 constructors only); such terms are the sole members of their
@@ -35,8 +30,15 @@ from typing import Optional
 
 from .compose import compose
 from .terms import (
-    BANG,
+    COPOINT,
+    PAIR,
+    PAIR_TYPE,
+    POINT,
     QUEST,
+    UNARY,
+    UNARY_TYPE,
+    UNIT,
+    UNIT_OBJ,
     Bang,
     Cotuple,
     GenArrow,
@@ -47,21 +49,7 @@ from .terms import (
     Tuple,
     TypedTerm,
 )
-from .types import Gen, ObjectType, One, Prod, Sum, Zero, ONE, ZERO
-
-POINT, COPOINT = 0, 1
-
-UNIT = (BANG, QUEST)        # the unit arrow
-UNIT_OBJ = (ONE, ZERO)      # the object it meets
-UNARY = (Inj, Proj)         # the unary constructor
-UNARY_TYPE = (Sum, Prod)    # the type it reaches into
-PAIR = (Tuple, Cotuple)     # the pairing
-PAIR_TYPE = (Prod, Sum)     # the type it builds
-
-
-def by_side(s: int, mine, other) -> tuple:
-    """The pair with ``mine`` at index ``s`` and ``other`` at ``1 - s``."""
-    return (mine, other) if s == POINT else (other, mine)
+from .types import Gen, ObjectType, One, Prod, Sum, Zero
 
 
 @lru_cache(maxsize=None)

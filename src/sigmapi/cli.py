@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 equal / success, 1 not equal, 2 requires-oracle,
-64 usage, 65 parse or lookup error, 66 type error, 70 guard exceeded,
-71 internal error.
+64 usage, 65 parse or lookup error, 66 type error or malformed input,
+70 guard exceeded, 71 internal error.
 All state flows through files and flags; output is plain text, or JSON
 (schema version 1) with ``--json``.
 """
@@ -29,6 +29,7 @@ from .decide import (
     decide_with_stats,
 )
 from .factor import factor_inj, factor_proj
+from .graph import InputError
 from .oracle import (
     CardinalSquare,
     DEFAULT_GUARD,
@@ -40,8 +41,8 @@ from .oracle import (
     same_class,
 )
 from .syntax import Module, ParseError, parse_module, parse_type
-from .terms import TypedTerm, TypingError, format_term, infer, term_sort_key
-from .types import GuardExceeded, format_type
+from .terms import Cut, TypedTerm, TypingError, format_term, infer, term_sort_key
+from .types import GuardExceeded, Prod, Sum, format_type
 
 SCHEMA = 1
 
@@ -79,10 +80,17 @@ def _named(module: Module, name: str) -> TypedTerm:
     return module.typed(name)
 
 
-def _cut_free(module: Module, name: str) -> tuple[AnnotatedTerm, TypedTerm]:
+def _cut_free(module: Module, name: str) -> AnnotatedTerm:
     tt = _named(module, name)
-    t = eliminate(tt.term)
-    return annotate(t, tt.dom, tt.cod), TypedTerm(t, tt.dom, tt.cod)
+    return annotate(eliminate(tt.term), tt.dom, tt.cod)
+
+
+def _parallel(module: Module, lname: str, rname: str) -> tuple[AnnotatedTerm, AnnotatedTerm]:
+    """The cut-free forms of two named terms, which must share a typing."""
+    left, right = _cut_free(module, lname), _cut_free(module, rname)
+    if (left.dom, left.cod) != (right.dom, right.cod):
+        raise CliError(f"{lname} and {rname} are not parallel", EX_TYPE)
+    return left, right
 
 
 def _witness_tag(witness) -> str:
@@ -131,11 +139,7 @@ def cmd_decide(args) -> int:
         raise CliError("nothing to decide: give --left/--right or --pair", EX_USAGE)
     worst = 0
     for lname, rname in pairs:
-        left, ltt = _cut_free(module, lname)
-        right, rtt = _cut_free(module, rname)
-        if (ltt.dom, ltt.cod) != (rtt.dom, rtt.cod):
-            raise CliError(f"{lname} and {rname} are not parallel", EX_TYPE)
-        verdict, stats = decide_with_stats(left, right)
+        verdict, stats = decide_with_stats(*_parallel(module, lname, rname))
         payload = {"left": lname, "right": rname}
         match verdict:
             case Equal(witness):
@@ -170,8 +174,6 @@ def cmd_compose(args) -> int:
         other = _named(module, args.with_)
         if other.dom != cod:
             raise CliError(f"{args.term} ; {args.with_}: middle types differ", EX_TYPE)
-        from .terms import Cut
-
         term, cod = Cut(term, other.term), other.cod
         infer(term, dom, cod, module.graph)
     result = eliminate(term)
@@ -196,43 +198,36 @@ def _annotation_tree(node: AnnotatedTerm) -> dict:
     }
 
 
-def _annotation_lines(node: AnnotatedTerm, depth: int, out: list[str]):
-    a = node.ann
-    bits = f"pointed{'+' if a.pointed else '-'} copointed{'+' if a.copointed else '-'}"
-    wits = []
-    if a.point_witness is not None:
-        wits.append(f"point={format_term(a.point_witness)}")
-    if a.copoint_witness is not None:
-        wits.append(f"copoint={format_term(a.copoint_witness)}")
-    head = "  " * depth + f"{format_term(node.term)} : {format_type(node.dom)} -> {format_type(node.cod)}"
+def _annotation_lines(node: dict, depth: int, out: list[str]):
+    """The text report of an ``_annotation_tree``, one line per node."""
+    bits = f"pointed{'+' if node['pointed'] else '-'} copointed{'+' if node['copointed'] else '-'}"
+    wits = [f"{side}={node[side + '_witness']}" for side in ("point", "copoint")
+            if node[side + "_witness"] is not None]
+    head = "  " * depth + f"{node['term']} : {node['dom']} -> {node['cod']}"
     out.append(f"{head}  {bits}" + (("  " + ", ".join(wits)) if wits else ""))
-    for c in node.children:
+    for c in node["children"]:
         _annotation_lines(c, depth + 1, out)
 
 
 def cmd_annotate(args) -> int:
-    module = _load(args.file)
-    ann, _ = _cut_free(module, args.term)
+    tree = _annotation_tree(_cut_free(_load(args.file), args.term))
     lines: list[str] = []
-    _annotation_lines(ann, 0, lines)
-    _emit(_annotation_tree(ann), "\n".join(lines), args.json)
+    _annotation_lines(tree, 0, lines)
+    _emit(tree, "\n".join(lines), args.json)
     return 0
 
 
 def cmd_factor(args) -> int:
-    from .types import Prod, Sum
-
-    module = _load(args.file)
-    ann, tt = _cut_free(module, args.term)
+    ann = _cut_free(_load(args.file), args.term)
     if (args.inj is None) == (args.proj is None):
         raise CliError("give exactly one of --inj or --proj", EX_USAGE)
     if args.inj is not None:
-        if not isinstance(tt.cod, Sum):
+        if not isinstance(ann.cod, Sum):
             raise CliError(f"{args.term} has no sum codomain to factor through", EX_TYPE)
         got = factor_inj(ann, args.inj)
         kind, index = "inj", args.inj
     else:
-        if not isinstance(tt.dom, Prod):
+        if not isinstance(ann.dom, Prod):
             raise CliError(f"{args.term} has no product domain to factor through", EX_TYPE)
         got = factor_proj(ann, args.proj)
         kind, index = "proj", args.proj
@@ -263,60 +258,55 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
-    guard = args.guard
-    if args.oracle_cmd == "decide":
-        module = _load(args.file)
-        _, ltt = _cut_free(module, args.left)
-        _, rtt = _cut_free(module, args.right)
-        if (ltt.dom, ltt.cod) != (rtt.dom, rtt.cod):
-            raise CliError("terms are not parallel", EX_TYPE)
-        eq = same_class(ltt.term, rtt.term, ltt.dom, ltt.cod, guard=guard)
-        _emit({"verdict": "Equal" if eq else "NotEqual"},
-              "Equal" if eq else "NotEqual", args.json)
-        return 0 if eq else 1
-    if args.oracle_cmd == "class":
-        module = _load(args.file)
-        _, tt = _cut_free(module, args.term)
-        cls = class_of(tt.term, tt.dom, tt.cod, guard=guard)
-        members = sorted(cls.members, key=term_sort_key)
-        _emit({"size": len(members), "canonical": format_term(cls.canonical),
-               "members": [format_term(m) for m in members]},
-              f"{len(members)} member(s), canonical: {format_term(cls.canonical)}\n"
-              + "\n".join(format_term(m) for m in members), args.json)
-        return 0
-    if args.oracle_cmd == "enumerate":
-        return cmd_enumerate(args)
-    if args.oracle_cmd == "path":
-        module = _load(args.file)
-        square = CardinalSquare(parse_type(args.x0), parse_type(args.x1),
-                                parse_type(args.a0), parse_type(args.a1))
-        _, ltt = _cut_free(module, args.left)
-        _, rtt = _cut_free(module, args.right)
-        path = cardinal_path(square, ltt.term, rtt.term, (ltt.dom, ltt.cod),
-                             (rtt.dom, rtt.cod), module.graph, guard=guard)
-        if path is None:
-            _emit({"connected": False}, "no path", args.json)
-            return 1
-        desc = [f"corner {c}: {format_term(t)}" for c, t in zip(path.corners, path.terms)]
-        _emit({"connected": True, "length": path.length,
-               "terms": [format_term(t) for t in path.terms],
-               "witnesses": [format_term(w) for w in path.witnesses]},
-              f"path of length {path.length}\n" + "\n".join(desc), args.json)
-        return 0
-    if args.oracle_cmd == "bouncers":
-        module = _load(args.file)
-        square = CardinalSquare(parse_type(args.x0), parse_type(args.x1),
-                                parse_type(args.a0), parse_type(args.a1))
-        _, ltt = _cut_free(module, args.left)
-        _, rtt = _cut_free(module, args.right)
-        hs = find_bouncers(square, args.i, args.j, ltt.term, rtt.term,
-                           module.graph, guard=guard)
-        _emit({"bouncers": [format_term(h) for h in hs]},
-              f"{len(hs)} bouncer(s)\n" + "\n".join(format_term(h) for h in hs),
-              args.json)
-        return 0
-    raise CliError("unknown oracle subcommand", EX_USAGE)
+def cmd_oracle_decide(args) -> int:
+    left, right = _parallel(_load(args.file), args.left, args.right)
+    eq = same_class(left.term, right.term, left.dom, left.cod, guard=args.guard)
+    _emit({"verdict": "Equal" if eq else "NotEqual"}, "Equal" if eq else "NotEqual", args.json)
+    return 0 if eq else 1
+
+
+def cmd_oracle_class(args) -> int:
+    ann = _cut_free(_load(args.file), args.term)
+    cls = class_of(ann.term, ann.dom, ann.cod, guard=args.guard)
+    members = sorted(cls.members, key=term_sort_key)
+    _emit({"size": len(members), "canonical": format_term(cls.canonical),
+           "members": [format_term(m) for m in members]},
+          f"{len(members)} member(s), canonical: {format_term(cls.canonical)}\n"
+          + "\n".join(format_term(m) for m in members), args.json)
+    return 0
+
+
+def _square_pair(args) -> tuple[Module, CardinalSquare, AnnotatedTerm, AnnotatedTerm]:
+    """The file's module, the square of ``--x0 .. --a1`` and the
+    cut-free ``--left`` and ``--right`` terms."""
+    module = _load(args.file)
+    square = CardinalSquare(parse_type(args.x0), parse_type(args.x1),
+                            parse_type(args.a0), parse_type(args.a1))
+    return module, square, _cut_free(module, args.left), _cut_free(module, args.right)
+
+
+def cmd_oracle_path(args) -> int:
+    module, square, left, right = _square_pair(args)
+    path = cardinal_path(square, left.term, right.term, (left.dom, left.cod),
+                         (right.dom, right.cod), module.graph, guard=args.guard)
+    if path is None:
+        _emit({"connected": False}, "no path", args.json)
+        return 1
+    desc = [f"corner {c}: {format_term(t)}" for c, t in zip(path.corners, path.terms)]
+    _emit({"connected": True, "length": path.length,
+           "terms": [format_term(t) for t in path.terms],
+           "witnesses": [format_term(w) for w in path.witnesses]},
+          f"path of length {path.length}\n" + "\n".join(desc), args.json)
+    return 0
+
+
+def cmd_oracle_bouncers(args) -> int:
+    module, square, left, right = _square_pair(args)
+    hs = find_bouncers(square, args.i, args.j, left.term, right.term,
+                       module.graph, guard=args.guard)
+    _emit({"bouncers": [format_term(h) for h in hs]},
+          f"{len(hs)} bouncer(s)\n" + "\n".join(format_term(h) for h in hs), args.json)
+    return 0
 
 
 def cmd_bench(args) -> int:
@@ -336,73 +326,64 @@ def build_parser() -> _Parser:
     p = _Parser(prog="sigmapi", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, file=True):
+    def common(sp, fn, file=True, pair=False, square=False, guard=False):
+        """Declare the shared flags that apply to ``sp``; it runs ``fn``."""
         if file:
             sp.add_argument("file", help=".spt declaration file")
         sp.add_argument("--json", action="store_true")
+        if square:
+            for flag in ("--x0", "--x1", "--a0", "--a1"):
+                sp.add_argument(flag, required=True)
+        if pair:
+            sp.add_argument("--left", required=True)
+            sp.add_argument("--right", required=True)
+        if guard:
+            sp.add_argument("--guard", type=int, default=DEFAULT_GUARD)
+        sp.set_defaults(fn=fn)
         return sp
 
-    common(sub.add_parser("check", help="parse and typecheck a file")).set_defaults(fn=cmd_check)
+    common(sub.add_parser("check", help="parse and typecheck a file"), cmd_check)
 
-    d = common(sub.add_parser("decide", help="decide equality of named terms"))
+    d = common(sub.add_parser("decide", help="decide equality of named terms"), cmd_decide)
     d.add_argument("--left")
     d.add_argument("--right")
     d.add_argument("--pair", nargs=2, action="append", metavar=("L", "R"))
     d.add_argument("--witness", action="store_true")
     d.add_argument("--stats", action="store_true")
-    d.set_defaults(fn=cmd_decide)
 
-    c = common(sub.add_parser("compose", help="cut-eliminate a term"))
+    c = common(sub.add_parser("compose", help="cut-eliminate a term"), cmd_compose)
     c.add_argument("--term", required=True)
     c.add_argument("--with", dest="with_", help="postcompose with another named term")
-    c.set_defaults(fn=cmd_compose)
 
-    a = common(sub.add_parser("annotate", help="per-node pointedness report"))
+    a = common(sub.add_parser("annotate", help="per-node pointedness report"), cmd_annotate)
     a.add_argument("--term", required=True)
-    a.set_defaults(fn=cmd_annotate)
 
-    f = common(sub.add_parser("factor", help="factor through an injection/projection"))
+    f = common(sub.add_parser("factor", help="factor through an injection/projection"),
+               cmd_factor)
     f.add_argument("--term", required=True)
     f.add_argument("--inj", type=int, choices=(0, 1))
     f.add_argument("--proj", type=int, choices=(0, 1))
-    f.set_defaults(fn=cmd_factor)
 
-    def enum_args(sp):
+    def enumerate_(sp):
+        common(sp, cmd_enumerate, file=False, guard=True)
         sp.add_argument("-X", "--dom", required=True, help="domain type")
         sp.add_argument("-A", "--cod", required=True, help="codomain type")
         sp.add_argument("--classes", action="store_true")
         sp.add_argument("--list", action="store_true")
-        sp.add_argument("--guard", type=int, default=DEFAULT_GUARD)
-        return sp
 
-    e = enum_args(common(sub.add_parser("enumerate", help="enumerate a homset"), file=False))
-    e.set_defaults(fn=cmd_enumerate)
+    enumerate_(sub.add_parser("enumerate", help="enumerate a homset"))
 
-    o = sub.add_parser("oracle", help="exact exponential oracle")
-    osub = o.add_subparsers(dest="oracle_cmd", required=True)
-    od = common(osub.add_parser("decide"))
-    od.add_argument("--left", required=True)
-    od.add_argument("--right", required=True)
-    od.add_argument("--guard", type=int, default=DEFAULT_GUARD)
-    oc = common(osub.add_parser("class"))
-    oc.add_argument("--term", required=True)
-    oc.add_argument("--guard", type=int, default=DEFAULT_GUARD)
-    oe = enum_args(common(osub.add_parser("enumerate"), file=False))
-    op = common(osub.add_parser("path"))
-    for flag in ("--x0", "--x1", "--a0", "--a1"):
-        op.add_argument(flag, required=True)
-    op.add_argument("--left", required=True)
-    op.add_argument("--right", required=True)
-    op.add_argument("--guard", type=int, default=DEFAULT_GUARD)
-    ob = common(osub.add_parser("bouncers"))
-    for flag in ("--x0", "--x1", "--a0", "--a1"):
-        ob.add_argument(flag, required=True)
-    ob.add_argument("--left", required=True)
-    ob.add_argument("--right", required=True)
+    osub = sub.add_parser("oracle", help="exact exponential oracle").add_subparsers(
+        dest="oracle_cmd", required=True)
+    common(osub.add_parser("decide"), cmd_oracle_decide, pair=True, guard=True)
+    common(osub.add_parser("class"), cmd_oracle_class, guard=True).add_argument(
+        "--term", required=True)
+    enumerate_(osub.add_parser("enumerate"))
+    common(osub.add_parser("path"), cmd_oracle_path, pair=True, square=True, guard=True)
+    ob = common(osub.add_parser("bouncers"), cmd_oracle_bouncers, pair=True, square=True,
+                guard=True)
     ob.add_argument("-i", type=int, choices=(0, 1), required=True)
     ob.add_argument("-j", type=int, choices=(0, 1), required=True)
-    ob.add_argument("--guard", type=int, default=DEFAULT_GUARD)
-    o.set_defaults(fn=cmd_oracle)
 
     b = sub.add_parser("bench", help="balanced-type benchmark, CSV output")
     b.add_argument("--max-height", type=int, default=10)
@@ -425,7 +406,7 @@ def run(argv=None) -> int:
     except TypingError as exc:
         print(f"type error: {exc}", file=sys.stderr)
         return EX_TYPE
-    except ValueError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_TYPE
     except GuardExceeded as exc:

@@ -14,7 +14,11 @@ from functools import lru_cache
 
 from .terms import (
     BANG,
+    PAIR,
+    PAIR_TYPE,
     QUEST,
+    UNARY,
+    UNIT,
     Bang,
     Cotuple,
     Cut,
@@ -40,21 +44,16 @@ def identity(t: ObjectType) -> Term:
             return BANG
         case Gen(name):
             return GenArrow(name, ())
-        case Prod(left, right):
-            return Tuple(_smart_proj(0, identity(left)),
-                         _smart_proj(1, identity(right)))
-        case Sum(left, right):
-            return Cotuple(_smart_inj(0, identity(left)),
-                           _smart_inj(1, identity(right)))
+        case Prod(left, right) | Sum(left, right):
+            # the tuple of projections or the cotuple of injections
+            s = PAIR_TYPE.index(type(t))
+            return PAIR[s](_unary(1 - s, 0, identity(left)), _unary(1 - s, 1, identity(right)))
     raise TypeError(f"not a type: {t!r}")
 
 
-def _smart_proj(i: int, body: Term) -> Term:
-    return BANG if body is BANG else Proj(i, body)
-
-
-def _smart_inj(j: int, body: Term) -> Term:
-    return QUEST if body is QUEST else Inj(j, body)
+def _unary(s: int, k: int, body: Term) -> Term:
+    """``UNARY[s](k, body)``, absorbed by a body that is the other side's unit."""
+    return body if body is UNIT[1 - s] else UNARY[s](k, body)
 
 
 def eliminate(t: Term) -> Term:

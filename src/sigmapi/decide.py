@@ -17,24 +17,16 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .annotate import (
-    COPOINT,
-    PAIR,
-    PAIR_TYPE,
-    POINT,
-    UNARY,
-    UNIT,
-    UNIT_OBJ,
     AnnotatedTerm,
     VisitCounter,
     ann_pair,
     ann_unary,
     ann_unit,
     annotate,
-    by_side,
     type_pointed,
 )
 from .factor import factor
-from .terms import Term
+from .terms import COPOINT, PAIR, PAIR_TYPE, POINT, UNARY, UNIT, UNIT_OBJ, Term, by_side
 from .types import ObjectType, Prod, Sum, ONE, ZERO, contains_gen
 
 

@@ -17,21 +17,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .annotate import (
-    COPOINT,
-    PAIR,
-    POINT,
-    UNARY,
-    UNARY_TYPE,
-    UNIT,
-    AnnotatedTerm,
-    VisitCounter,
-    ann_pair,
-    ann_unary,
-    annotate,
-    by_side,
-)
+from .annotate import AnnotatedTerm, VisitCounter, ann_pair, ann_unary, annotate
 from .compose import compose
+from .terms import COPOINT, PAIR, POINT, UNARY, UNARY_TYPE, UNIT, by_side
 
 
 def factor(s: int, f: AnnotatedTerm, k: int,

@@ -13,6 +13,16 @@ from dataclasses import dataclass, field
 from .types import GuardExceeded
 
 
+class InputError(ValueError):
+    """Malformed input from outside the program, such as a graph whose
+    edges mention undeclared nodes.  ``at`` names the offending piece when
+    the check knows it, so a front end can point at its source."""
+
+    def __init__(self, message: str, at=None):
+        super().__init__(message)
+        self.at = at
+
+
 @dataclass(frozen=True, slots=True)
 class Edge:
     name: str
@@ -30,11 +40,13 @@ class GeneratorGraph:
         by_name = {}
         for e in self.edges:
             if e.name in by_name:
-                raise ValueError(f"duplicate edge name {e.name!r}")
+                raise InputError(f"duplicate edge name {e.name!r}", (e.name, "name"))
             if e.name in self.nodes:
-                raise ValueError(f"name {e.name!r} used for both a node and an edge")
-            if e.src not in self.nodes or e.dst not in self.nodes:
-                raise ValueError(f"edge {e.name!r} mentions undeclared node")
+                raise InputError(f"name {e.name!r} used for both a node and an edge",
+                                 (e.name, "name"))
+            for end in ("src", "dst"):
+                if getattr(e, end) not in self.nodes:
+                    raise InputError(f"edge {e.name!r} mentions undeclared node", (e.name, end))
             by_name[e.name] = e
         object.__setattr__(self, "_by_name", by_name)
 
@@ -51,12 +63,12 @@ class GeneratorGraph:
         """Target node of an edge path starting at ``src``; raises if the
         path is not composable."""
         if src not in self.nodes:
-            raise ValueError(f"unknown node {src!r}")
+            raise InputError(f"unknown node {src!r}")
         at = src
         for name in path:
             e = self.edge(name)
             if e.src != at:
-                raise ValueError(f"edge {name!r} starts at {e.src!r}, not {at!r}")
+                raise InputError(f"edge {name!r} starts at {e.src!r}, not {at!r}")
             at = e.dst
         return at
 
@@ -67,7 +79,7 @@ class GeneratorGraph:
         arrows; the guard bounds the search and raises when exceeded.
         """
         if src not in self.nodes or dst not in self.nodes:
-            raise ValueError("unknown node")
+            raise InputError("unknown node")
         out: list[tuple[str, ...]] = []
         frontier: list[tuple[str, tuple[str, ...]]] = [(src, ())]
         explored = 0

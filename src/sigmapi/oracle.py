@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .graph import EMPTY_GRAPH, GeneratorGraph
+from .graph import EMPTY_GRAPH, GeneratorGraph, InputError
 from .terms import (
     BANG,
     QUEST,
@@ -160,7 +160,7 @@ def same_class(f: Term, g: Term, dom: ObjectType, cod: ObjectType, *,
     return any(member is g for member in _closure(f, dom, cod, guard))
 
 
-_ENUM_CACHE: dict[tuple[ObjectType, ObjectType, GeneratorGraph], tuple[Term, ...]] = {}
+_ENUM_CACHE: dict[tuple[ObjectType, ObjectType, GeneratorGraph, int], tuple[Term, ...]] = {}
 
 
 def enumerate_terms(dom: ObjectType, cod: ObjectType,
@@ -177,14 +177,14 @@ def enumerate_terms(dom: ObjectType, cod: ObjectType,
     least one enumerated term (replace subterms out of ``0`` by ``?`` and
     into ``1`` by ``!``), and the class closure supplies the remaining
     syntactic members."""
-    key = (dom, cod, graph)
+    key = (dom, cod, graph, guard)
     out = _ENUM_CACHE.get(key)
     if out is None:
         out = _enumerate(dom, cod, graph, guard)
+        if len(out) > guard:
+            raise GuardExceeded(
+                f"homset {format_type(dom)} -> {format_type(cod)} exceeds guard {guard}")
         _ENUM_CACHE[key] = out
-    if len(out) > guard:
-        raise GuardExceeded(
-            f"homset {format_type(dom)} -> {format_type(cod)} exceeds guard {guard}")
     return out
 
 
@@ -216,9 +216,6 @@ def _enumerate(dom: ObjectType, cod: ObjectType, graph: GeneratorGraph,
     if isinstance(dom, Gen) and isinstance(cod, Gen):
         acc.extend(GenArrow(dom.name, path)
                    for path in graph.paths(dom.name, cod.name, guard=guard))
-    if len(acc) > guard:
-        raise GuardExceeded(
-            f"homset {format_type(dom)} -> {format_type(cod)} exceeds guard {guard}")
     return tuple(acc)
 
 
@@ -229,8 +226,9 @@ def homset_classes(dom: ObjectType, cod: ObjectType,
                    graph: GeneratorGraph = EMPTY_GRAPH, *,
                    guard: int = DEFAULT_GUARD) -> tuple[tuple[EqClass, ...], dict[Term, int]]:
     """Partition of the homset into equivalence classes, plus the member
-    to class-index map.  Cached; the workhorse of the oracle test sweeps."""
-    key = (dom, cod, graph)
+    to class-index map.  Cached per argument tuple, ``guard`` included; the
+    workhorse of the oracle test sweeps."""
+    key = (dom, cod, graph, guard)
     hit = _PARTITION_CACHE.get(key)
     if hit is not None:
         return hit
@@ -319,10 +317,10 @@ def _corner_placements(square: CardinalSquare, t: Term,
             case Proj(i, body):
                 out.append((("fac", i), body))
             case _:
-                raise ValueError(
+                raise InputError(
                     "a full-homset term must start with an injection or a projection")
     if not out:
-        raise ValueError(f"term {t!r} : {format_type(dom)} -> {format_type(cod)} "
+        raise InputError(f"term {t!r} : {format_type(dom)} -> {format_type(cod)} "
                          "does not fit the square")
     return out
 

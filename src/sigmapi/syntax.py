@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .graph import Edge, GeneratorGraph, EMPTY_GRAPH
+from .graph import Edge, GeneratorGraph, EMPTY_GRAPH, InputError
 from .terms import (
     BANG,
     QUEST,
@@ -246,29 +246,34 @@ class _Parser:
         self.expect("{")
         nodes: list[str] = []
         edges: dict[str, Edge] = {}
+        spots: dict[str, dict[str, int]] = {}  # edge -> its parts' offsets
         while self.peek() != "}":
             tok, off = self.next()
             if tok == "node":
                 nodes.append(self.ident("node declaration"))
                 self.expect(";")
             elif tok == "edge":
-                at = self.offset()
+                at = {"name": self.offset()}
                 name = self.ident("edge declaration")
                 if name in edges:
-                    raise self.error(f"duplicate edge name {name!r}", at)
+                    raise self.error(f"duplicate edge name {name!r}", at["name"])
                 self.expect(":")
+                at["src"] = self.offset()
                 src = self.ident("edge declaration")
                 self.expect("->")
+                at["dst"] = self.offset()
                 dst = self.ident("edge declaration")
                 self.expect(";")
                 edges[name] = Edge(name, src, dst)
+                spots[name] = at
             else:
                 raise self.error("expected 'node' or 'edge'", off)
         self.expect("}")
-        try:
+        try:  # checked after the block: nodes may follow the edges using them
             return GeneratorGraph(frozenset(nodes), tuple(edges.values()))
-        except ValueError as exc:
-            self.fail(str(exc))
+        except InputError as exc:
+            name, part = exc.at
+            raise self.error(str(exc), spots[name][part]) from None
 
     def declaration(self, taken) -> Declaration:
         """One ``term`` declaration; its name must not be in ``taken``."""
@@ -278,7 +283,7 @@ class _Parser:
         if name in taken:
             raise self.error(f"duplicate term name {name!r}", at)
         if name in _KEYWORDS or name in _TERM_WORDS:
-            self.fail(f"{name!r} is reserved")
+            raise self.error(f"{name!r} is reserved", at)
         self.expect(":")
         dom = self.type_()
         tok, off = self.next()

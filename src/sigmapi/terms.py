@@ -9,7 +9,17 @@ uniquely determined by the constructor indices, so callers thread
 
 Like types, term nodes are hash-consed: structurally equal terms are the
 same object, equality is identity, and hashing is constant-time.  The
-oracle's closure sets rely on this.  Treat instances as immutable.
+oracle's closure sets rely on this.  Every node class is built by the
+one interning constructor of ``types``.  Treat instances as immutable.
+
+The calculus is self-dual, so the rules downstream are written once for
+a *side* ``s``: ``POINT`` (0) or ``COPOINT`` (1), the other side being
+``1 - s``.  Each row of the duality table below is a pair, entry ``[s]``
+being side ``s``'s version: points are built from ``!``, injections and
+tuples, copoints from ``?``, projections and cotuples.  A side builds at
+one end of the typing ``(dom, cod)``, the point side at the codomain and
+the copoint side at the domain: side ``s`` builds at index ``1 - s`` and
+leaves index ``s`` alone.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ from .types import (
 
 class Term:
     __slots__ = ()
+    __new__ = _intern
 
     def __repr__(self) -> str:
         return format_term(self)
@@ -44,9 +55,6 @@ class Bang(Term):
     __slots__ = ()
     __match_args__ = ()
 
-    def __new__(cls):
-        return _intern(cls)
-
 
 class Quest(Term):
     """The unique map out of the initial object, written ``?``."""
@@ -54,40 +62,25 @@ class Quest(Term):
     __slots__ = ()
     __match_args__ = ()
 
-    def __new__(cls):
-        return _intern(cls)
-
 
 class Proj(Term):
     __slots__ = ("index", "body")
     __match_args__ = ("index", "body")
-
-    def __new__(cls, index: int, body: Term):
-        return _intern(cls, index, body)
 
 
 class Inj(Term):
     __slots__ = ("index", "body")
     __match_args__ = ("index", "body")
 
-    def __new__(cls, index: int, body: Term):
-        return _intern(cls, index, body)
-
 
 class Tuple(Term):
     __slots__ = ("left", "right")
     __match_args__ = ("left", "right")
 
-    def __new__(cls, left: Term, right: Term):
-        return _intern(cls, left, right)
-
 
 class Cotuple(Term):
     __slots__ = ("left", "right")
     __match_args__ = ("left", "right")
-
-    def __new__(cls, left: Term, right: Term):
-        return _intern(cls, left, right)
 
 
 class GenArrow(Term):
@@ -109,9 +102,6 @@ class Id(Term):
     __slots__ = ("at",)
     __match_args__ = ("at",)
 
-    def __new__(cls, at: ObjectType):
-        return _intern(cls, at)
-
 
 class Cut(Term):
     """Raw composition ``left ; right``; removed by cut elimination."""
@@ -119,12 +109,23 @@ class Cut(Term):
     __slots__ = ("left", "right")
     __match_args__ = ("left", "right")
 
-    def __new__(cls, left: Term, right: Term):
-        return _intern(cls, left, right)
-
 
 BANG = Bang()
 QUEST = Quest()
+
+POINT, COPOINT = 0, 1
+
+UNIT = (BANG, QUEST)        # the unit arrow
+UNIT_OBJ = (ONE, ZERO)      # the object it meets
+UNARY = (Inj, Proj)         # the unary constructor
+UNARY_TYPE = (Sum, Prod)    # the type it reaches into
+PAIR = (Tuple, Cotuple)     # the pairing
+PAIR_TYPE = (Prod, Sum)     # the type it builds
+
+
+def by_side(s: int, mine, other) -> tuple:
+    """The pair with ``mine`` at index ``s`` and ``other`` at ``1 - s``."""
+    return (mine, other) if s == POINT else (other, mine)
 
 
 def is_cut_free(t: Term) -> bool:
@@ -259,9 +260,9 @@ def _check(t: Term, dom: ObjectType, cod: ObjectType, graph: GeneratorGraph,
                 raise TypingError(f"id at {format_type(at)}", path, at,
                                   dom if dom is not at else cod)
         case Cut(left, right):
-            mid = _synth_cod(left, dom, graph)
+            mid = _synth(POINT, left, dom, graph)
             if mid is None:
-                mid = _synth_dom(right, cod, graph)
+                mid = _synth(COPOINT, right, cod, graph)
             if mid is None:
                 raise TypingError(
                     "cannot infer the middle type of a cut; anchor one side "
@@ -273,63 +274,40 @@ def _check(t: Term, dom: ObjectType, cod: ObjectType, graph: GeneratorGraph,
     ok.add(key)
 
 
-def _synth_cod(t: Term, dom: Optional[ObjectType], graph: GeneratorGraph) -> Optional[ObjectType]:
-    """Codomain of ``t`` given its domain (None when unknown), when the
-    syntax determines it."""
-    match t:
-        case Bang():
-            return ONE
-        case Id(at):
-            return at
-        case GenArrow(src, edges):
-            try:
-                return Gen(graph.walk(src, edges))
-            except (ValueError, KeyError):
-                return None
-        case Proj(i, body):
-            if isinstance(dom, Prod):
-                return _synth_cod(body, dom.component(i), graph)
+def _synth(s: int, t: Term, end: Optional[ObjectType],
+           graph: GeneratorGraph) -> Optional[ObjectType]:
+    """The end of ``t`` that side ``s`` builds, from the other end (None
+    when unknown), when the syntax determines it: the codomain from the
+    domain (``s = POINT``) or the domain from the codomain (``s = COPOINT``)."""
+    o = 1 - s
+    kind = type(t)
+    if t is UNIT[s]:
+        return UNIT_OBJ[s]
+    if kind is Id:
+        return t.at
+    if kind is GenArrow:
+        if s == COPOINT:  # a path starts at its source; its end needs the graph
+            return Gen(t.src)
+        try:
+            return Gen(graph.walk(t.src, t.edges))
+        except (ValueError, KeyError):
             return None
-        case Tuple(left, right):
-            l = _synth_cod(left, dom, graph)
-            r = _synth_cod(right, dom, graph)
-            return Prod(l, r) if l is not None and r is not None else None
-        case Cotuple(left, right):
-            if isinstance(dom, Sum):
-                return _synth_cod(left, dom.left, graph) or _synth_cod(right, dom.right, graph)
-            return None
-        case Cut(left, right):
-            return _synth_cod(right, _synth_cod(left, dom, graph), graph)
-        case _:
-            return None
-
-
-def _synth_dom(t: Term, cod: Optional[ObjectType], graph: GeneratorGraph) -> Optional[ObjectType]:
-    """Domain of ``t`` given its codomain (None when unknown), when the
-    syntax determines it."""
-    match t:
-        case Quest():
-            return ZERO
-        case Id(at):
-            return at
-        case GenArrow(src, _):
-            return Gen(src)
-        case Inj(j, body):
-            if isinstance(cod, Sum):
-                return _synth_dom(body, cod.component(j), graph)
-            return None
-        case Cotuple(left, right):
-            l = _synth_dom(left, cod, graph)
-            r = _synth_dom(right, cod, graph)
-            return Sum(l, r) if l is not None and r is not None else None
-        case Tuple(left, right):
-            if isinstance(cod, Prod):
-                return _synth_dom(left, cod.left, graph) or _synth_dom(right, cod.right, graph)
-            return None
-        case Cut(left, right):
-            return _synth_dom(left, _synth_dom(right, cod, graph), graph)
-        case _:
-            return None
+    if kind is UNARY[o]:
+        if isinstance(end, UNARY_TYPE[o]):
+            return _synth(s, t.body, end.component(t.index), graph)
+        return None
+    if kind is PAIR[s]:
+        l = _synth(s, t.left, end, graph)
+        r = _synth(s, t.right, end, graph)
+        return PAIR_TYPE[s](l, r) if l is not None and r is not None else None
+    if kind is PAIR[o]:
+        if isinstance(end, PAIR_TYPE[o]):
+            return _synth(s, t.left, end.left, graph) or _synth(s, t.right, end.right, graph)
+        return None
+    if kind is Cut:  # the factor at the given end first
+        factors = (t.left, t.right)
+        return _synth(s, factors[o], _synth(s, factors[s], end, graph), graph)
+    return None
 
 
 def child_typings(t: Term, dom: ObjectType, cod: ObjectType) -> tuple[tuple[Term, ObjectType, ObjectType], ...]:

@@ -21,9 +21,14 @@ _INTERN: dict = {}
 
 
 def _intern(cls, *fields):
+    """The constructor of every interned node class: the one node of
+    ``cls`` with these fields, made on first use."""
     key = (cls, *fields)
     node = _INTERN.get(key)
     if node is None:
+        if len(fields) != len(cls.__slots__):
+            raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} field(s), "
+                            f"got {len(fields)}")
         node = object.__new__(cls)
         for name, value in zip(cls.__slots__, fields):
             object.__setattr__(node, name, value)
@@ -35,6 +40,7 @@ def _intern(cls, *fields):
 
 class ObjectType:
     __slots__ = ()
+    __new__ = _intern
 
     def __add__(self, other: "ObjectType") -> "Sum":
         return Sum(self, other)
@@ -50,32 +56,20 @@ class Zero(ObjectType):
     __slots__ = ()
     __match_args__ = ()
 
-    def __new__(cls):
-        return _intern(cls)
-
 
 class One(ObjectType):
     __slots__ = ()
     __match_args__ = ()
-
-    def __new__(cls):
-        return _intern(cls)
 
 
 class Gen(ObjectType):
     __slots__ = ("name",)
     __match_args__ = ("name",)
 
-    def __new__(cls, name: str):
-        return _intern(cls, name)
-
 
 class Sum(ObjectType):
     __slots__ = ("left", "right")
     __match_args__ = ("left", "right")
-
-    def __new__(cls, left: ObjectType, right: ObjectType):
-        return _intern(cls, left, right)
 
     def component(self, index: int) -> ObjectType:
         return self.left if index == 0 else self.right
@@ -84,9 +78,6 @@ class Sum(ObjectType):
 class Prod(ObjectType):
     __slots__ = ("left", "right")
     __match_args__ = ("left", "right")
-
-    def __new__(cls, left: ObjectType, right: ObjectType):
-        return _intern(cls, left, right)
 
     def component(self, index: int) -> ObjectType:
         return self.left if index == 0 else self.right

@@ -146,3 +146,21 @@ def test_internal_error_exit_code(tmp_path, capsys):
     assert run(["decide", str(src), "--left", "f", "--right", "g"]) == 71
     err = capsys.readouterr().err
     assert err.startswith("internal error:") and err.count("\n") == 1
+
+
+def test_internal_value_error_is_not_a_type_error(spt, monkeypatch, capsys):
+    def broken(term):
+        raise ValueError("compose: no rule for this pair")
+
+    monkeypatch.setattr("sigmapi.cli.eliminate", broken)
+    assert run(["decide", spt, "--left", "f", "--right", "g"]) == 71
+    assert capsys.readouterr().err.startswith("internal error: ValueError")
+
+
+def test_malformed_input_exits_66(spt, capsys):
+    # a type naming a node the (empty) graph lacks
+    assert run(["enumerate", "-X", "x", "-A", "x"]) == 66
+    # a term that fits no corner of the square
+    assert run(["oracle", "path", spt, "--x0", "1", "--x1", "1", "--a0", "1", "--a1", "1",
+                "--left", "f", "--right", "f"]) == 66
+    assert "does not fit the square" in capsys.readouterr().err

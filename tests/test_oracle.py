@@ -67,6 +67,18 @@ def test_guard_trips():
         enumerate_terms(parse_type("1*1"), parse_type("1+1"), guard=3)
 
 
+def test_guard_holds_after_a_cached_call():
+    # a partition cached under the default guard must not answer a call
+    # with a smaller one
+    x = parse_type("(1+1)*(1+1)")
+    classes, _ = homset_classes(x, x)
+    assert len(classes) == 36
+    with pytest.raises(GuardExceeded):
+        homset_classes(x, x, guard=3)
+    with pytest.raises(GuardExceeded):
+        enumerate_terms(x, x, guard=3)
+
+
 def test_canonical_is_least():
     c = class_of(QUEST, ZERO, parse_type("1+1"))
     assert c.canonical == min(c.members, key=term_sort_key)

@@ -98,7 +98,7 @@ _GRAPH = "graph { node x; node y; edge k : x -> y; }\n"
     (parse_term, "<!, {?,\n  s0", "expected a term, found 'end of input'", 2, 5),
     (parse_module, "graph { node x;\n  edge k : x", "expected '->', found 'end of input'", 2, 13),
     (parse_module, "graph { node x;\n  node y;\n", "expected 'node' or 'edge'", 3, 1),
-    (parse_module, "term a : 1 -> 1 = ! ;\nterm p1 : 1 -> 1 = ! ;", "'p1' is reserved", 2, 9),
+    (parse_module, "term a : 1 -> 1 = ! ;\nterm p1 : 1 -> 1 = ! ;", "'p1' is reserved", 2, 6),
     (parse_module, "term a : 1 -> 1 = ! ;\n  term a : 0 -> 1 = ? ;\n",
      "duplicate term name 'a'", 2, 8),
     (parse_module, "graph { node x; edge k : x -> x;\n edge k : x -> x; }\nterm a : x -> x = @k ;",
@@ -108,9 +108,14 @@ _GRAPH = "graph { node x; node y; edge k : x -> y; }\n"
     (parse_module, "term a : 1 * 1\n  1 = ! ;", "expected '->' in term declaration", 2, 3),
     (parse_type, "1 * 0 )", "trailing input after type", 1, 7),
     (parse_term, "! !", "trailing input after term", 1, 3),
+    (parse_module, "graph { node x; edge k : x -> y; }\nterm a : x -> x = @x ;",
+     "edge 'k' mentions undeclared node", 1, 31),
+    (parse_module, "graph { node x;\n  edge x : x -> x; }", "name 'x' used for both a node and an edge",
+     2, 8),
 ], ids=["stray-character", "stray-after-comment", "eof-in-type", "eof-in-term", "eof-in-edge",
         "eof-in-graph", "reserved-name", "duplicate-term", "duplicate-edge", "node-with-path",
-        "unknown-edge", "missing-arrow", "trailing-type", "trailing-term"])
+        "unknown-edge", "missing-arrow", "trailing-type", "trailing-term", "undeclared-node",
+        "node-edge-clash"])
 def test_parse_error_message_and_position(parse, text, message, line, col):
     with pytest.raises(ParseError) as err:
         parse(text)

@@ -106,3 +106,33 @@ def test_roundtrip_exhaustive_small():
     g = make_graph(["x", "a"], [("k", "x", "a")])
     for t in enumerate_terms(parse_type("x*(0+1)"), parse_type("a+1"), g):
         assert parse_term(format_term(t), g) == t
+
+
+def test_wrong_arity_constructors_intern_nothing():
+    from sigmapi import Sum
+    from sigmapi.types import _INTERN
+
+    before = dict(_INTERN)
+    for make in (lambda: Proj(0), lambda: Sum(ONE), lambda: Cut(BANG)):
+        with pytest.raises(TypeError):
+            make()
+    assert _INTERN == before
+
+
+def test_cut_synthesis_is_sound():
+    # each end synthesised from the other is the true one or unknown; the
+    # counts of known ends are pinned
+    from sigmapi import enumerate_terms, iter_types, make_graph
+    from sigmapi.terms import COPOINT, POINT, _synth
+
+    g = make_graph(["x", "a"], [("k", "x", "a")])
+    homsets = [(x, a) for x in iter_types(4) for a in iter_types(4)]
+    homsets.append((parse_type("x*(0+1)"), parse_type("a+1")))
+    known = [0, 0]
+    for x, a in homsets:
+        for t in enumerate_terms(x, a, g):
+            cod, dom = _synth(POINT, t, x, g), _synth(COPOINT, t, a, g)
+            assert cod in (None, a) and dom in (None, x)
+            known[POINT] += cod is not None
+            known[COPOINT] += dom is not None
+    assert known == [26, 26]

@@ -57,7 +57,7 @@ class GeneratorGraph:
         try:
             return self._by_name[name]
         except KeyError:
-            raise KeyError(f"no edge named {name!r}") from None
+            raise InputError(f"no edge named {name!r}") from None
 
     def walk(self, src: str, path: tuple[str, ...]) -> str:
         """Target node of an edge path starting at ``src``; raises if the
@@ -78,8 +78,9 @@ class GeneratorGraph:
         The free category on a graph with cycles has infinitely many
         arrows; the guard bounds the search and raises when exceeded.
         """
-        if src not in self.nodes or dst not in self.nodes:
-            raise InputError("unknown node")
+        for end in (src, dst):
+            if end not in self.nodes:
+                raise InputError(f"unknown node {end!r}")
         out: list[tuple[str, ...]] = []
         frontier: list[tuple[str, tuple[str, ...]]] = [(src, ())]
         explored = 0

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .graph import Edge, GeneratorGraph, EMPTY_GRAPH, InputError
 from .terms import (
@@ -39,8 +40,9 @@ from .types import Gen, ObjectType, Prod, Sum, ONE, ZERO, format_type
 
 
 class ParseError(Exception):
-    """A syntax error at ``line`` and ``col`` (both 1-based), which are
-    computed from the offending token's offset only when it is raised."""
+    """A syntax error at ``line`` and ``col`` (both 1-based).  The parser
+    knows only the index of the offending token; the line and column are
+    found by re-lexing up to that token when the error is raised."""
 
     def __init__(self, message: str, line: int, col: int):
         self.line = line
@@ -48,36 +50,17 @@ class ParseError(Exception):
         super().__init__(f"{message} (line {line}, column {col})")
 
 
-_TOKEN_RE = re.compile(
-    r"""\s+ | \#[^\n]*
-      | (-> | [A-Za-z_][A-Za-z0-9_]* | [01!?<>{}(),;:+*@=.])
-      | (.)
-    """,
-    re.VERBOSE,
-)
+# Each match skips whitespace and comments, then takes one token: ``->``,
+# an ASCII identifier, any single character (``_Parser`` rejects one that
+# is not a symbol), or the empty end of input.
+_TOKEN_RE = re.compile(r"(?:\s+|\#[^\n]*)*(->|[A-Za-z_][A-Za-z0-9_]*|.|\Z)")
 
+_SYMBOLS = set("01!?<>{}(),;:+*@=.") | {"->", ""}
 _KEYWORDS = {"term", "graph", "node", "edge", "id"}
 _TERM_WORDS = {"p0", "p1", "s0", "s1", "id"}
 _TERM_START = _TERM_WORDS | {"!", "?", "<", "{", "(", "@"}
-
-
-def _position(text: str, off: int) -> tuple[int, int]:
-    """The 1-based line and column of offset ``off`` in ``text``."""
-    return text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off)
-
-
-def _lex(text: str) -> list[tuple[str, int]]:
-    """The ``(token, offset)`` pairs of ``text``, ending with ``("", len(text))``;
-    whitespace and ``#`` comments are skipped."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        group = m.lastindex  # None: skipped, 1: a token, 2: a stray character
-        if group == 1:
-            tokens.append((m[1], m.start()))
-        elif group:
-            raise ParseError(f"unexpected character {m[2]!r}", *_position(text, m.start()))
-    tokens.append(("", len(text)))
-    return tokens
+_PREFIXES = {"p0": (Proj, 0), "p1": (Proj, 1), "s0": (Inj, 0), "s1": (Inj, 1)}
+_BRACKETS = {"<": (">", Tuple), "{": ("}", Cotuple)}
 
 
 @dataclass
@@ -99,54 +82,73 @@ class Module:
 
 
 class _Parser:
+    """Recursive descent over ``toks``, the token strings of ``text``,
+    which end with ``""`` for end of input.  ``i`` is the index of the next
+    token; a position is a token index until an error needs its line and
+    column.  Only brackets and parentheses recurse: operator and prefix
+    chains are loops."""
+
     def __init__(self, text: str, graph: GeneratorGraph = EMPTY_GRAPH):
         self.text = text
-        self.toks = _lex(text)
+        self.toks = _TOKEN_RE.findall(text)
         self.i = 0
         self.graph = graph
+        stray = {t for t in set(self.toks) - _SYMBOLS if not (t.isascii() and t.isidentifier())}
+        if stray:
+            k = min(map(self.toks.index, stray))
+            raise self.error(f"unexpected character {self.toks[k]!r}", k)
 
     # -- token plumbing -------------------------------------------------
-    def peek(self, ahead: int = 0) -> str:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)][0]
+    def peek(self) -> str:
+        return self.toks[self.i]
 
-    def next(self) -> tuple[str, int]:
+    def next(self) -> str:
+        """The next token, consumed.  Reading past ``""`` is never needed:
+        every rule that reads the end of input raises."""
         tok = self.toks[self.i]
-        if tok[0]:
-            self.i += 1
+        self.i += 1
         return tok
 
     def expect(self, text: str) -> None:
-        found, off = self.next()
+        found = self.next()
         if found != text:
-            raise self.error(f"expected {text!r}, found {found or 'end of input'!r}", off)
+            raise self.error(f"expected {text!r}, found {found or 'end of input'!r}")
 
-    def error(self, message: str, off: int) -> ParseError:
-        return ParseError(message, *_position(self.text, off))
+    def error(self, message: str, k: int | None = None) -> ParseError:
+        """A ParseError at token ``k``, by default the last one read."""
+        if k is None:
+            k = self.i - 1
+        off = next(islice(_TOKEN_RE.finditer(self.text), k, None)).start(1)
+        line = self.text.count("\n", 0, off) + 1
+        return ParseError(message, line, off - self.text.rfind("\n", 0, off))
 
-    def offset(self) -> int:
-        """The offset of the next token."""
-        return self.toks[self.i][1]
-
-    def fail(self, message: str):
-        raise self.error(message, self.offset())
+    def whole(self, rule, what: str):
+        """``rule()``, which must read the whole text."""
+        result = rule()
+        if self.peek():
+            raise self.error(f"trailing input after {what}", self.i)
+        return result
 
     # -- types -----------------------------------------------------------
+    def chain(self, op: str, cls, operand):
+        """``operand (op operand)*``, folded to the right."""
+        items = [operand()]
+        while self.toks[self.i] == op:
+            self.i += 1
+            items.append(operand())
+        t = items.pop()
+        while items:
+            t = cls(items.pop(), t)
+        return t
+
     def type_(self) -> ObjectType:
-        left = self.prod()
-        if self.peek() == "+":
-            self.next()
-            return Sum(left, self.type_())
-        return left
+        return self.chain("+", Sum, self.prod)
 
     def prod(self) -> ObjectType:
-        left = self.type_atom()
-        if self.peek() == "*":
-            self.next()
-            return Prod(left, self.prod())
-        return left
+        return self.chain("*", Prod, self.type_atom)
 
     def type_atom(self) -> ObjectType:
-        tok, off = self.next()
+        tok = self.next()
         if tok == "0":
             return ZERO
         if tok == "1":
@@ -157,44 +159,39 @@ class _Parser:
             return t
         if tok.isidentifier() and tok not in _KEYWORDS:
             return Gen(tok)
-        raise self.error(f"expected a type, found {tok or 'end of input'!r}", off)
+        raise self.error(f"expected a type, found {tok or 'end of input'!r}")
 
     # -- terms -----------------------------------------------------------
     def term(self) -> Term:
         t = self.prefix_term()
-        while self.peek() == ";" and self.peek(1) in _TERM_START:
+        while self.peek() == ";" and self.toks[self.i + 1] in _TERM_START:
             self.next()
             t = Cut(t, self.prefix_term())
         return t
 
     def prefix_term(self) -> Term:
-        tok = self.peek()
-        if tok in ("p0", "p1", "s0", "s1"):
-            self.next()
-            index = int(tok[1])
-            body = self.prefix_term()
-            return Proj(index, body) if tok[0] == "p" else Inj(index, body)
-        return self.atom_term()
+        prefixes = []
+        while self.peek() in _PREFIXES:
+            prefixes.append(_PREFIXES[self.next()])
+        t = self.atom_term()
+        for cls, index in reversed(prefixes):
+            t = cls(index, t)
+        return t
 
     def atom_term(self) -> Term:
-        tok, off = self.next()
+        tok = self.next()
         match tok:
             case "!":
                 return BANG
             case "?":
                 return QUEST
-            case "<":
+            case "<" | "{":
+                close, cls = _BRACKETS[tok]
                 left = self.term()
                 self.expect(",")
                 right = self.term()
-                self.expect(">")
-                return Tuple(left, right)
-            case "{":
-                left = self.term()
-                self.expect(",")
-                right = self.term()
-                self.expect("}")
-                return Cotuple(left, right)
+                self.expect(close)
+                return cls(left, right)
             case "(":
                 t = self.term()
                 self.expect(")")
@@ -203,8 +200,8 @@ class _Parser:
                 self.expect(":")
                 return Id(self.type_())
             case "@":
-                return self.gen_path(off)
-        raise self.error(f"expected a term, found {tok or 'end of input'!r}", off)
+                return self.gen_path(self.i - 1)
+        raise self.error(f"expected a term, found {tok or 'end of input'!r}")
 
     def gen_path(self, at: int) -> Term:
         names = [self.ident("generator path")]
@@ -219,14 +216,14 @@ class _Parser:
         try:
             src = self.graph.edge(first).src
             self.graph.walk(src, tuple(names))
-        except (KeyError, ValueError) as exc:
-            raise self.error(exc.args[0], at) from None
+        except ValueError as exc:
+            raise self.error(str(exc), at) from None
         return GenArrow(src, tuple(names))
 
     def ident(self, what: str) -> str:
-        tok, off = self.next()
+        tok = self.next()
         if not tok.isidentifier():
-            raise self.error(f"expected an identifier in {what}", off)
+            raise self.error(f"expected an identifier in {what}")
         return tok
 
     # -- files -----------------------------------------------------------
@@ -246,28 +243,31 @@ class _Parser:
         self.expect("{")
         nodes: list[str] = []
         edges: dict[str, Edge] = {}
-        spots: dict[str, dict[str, int]] = {}  # edge -> its parts' offsets
+        spots: dict[str, dict[str, int]] = {}  # edge -> its parts' token indices
         while self.peek() != "}":
-            tok, off = self.next()
+            tok = self.next()
             if tok == "node":
-                nodes.append(self.ident("node declaration"))
+                name = self.ident("node declaration")
+                if name in _KEYWORDS:
+                    raise self.error(f"{name!r} is reserved")
+                nodes.append(name)
                 self.expect(";")
             elif tok == "edge":
-                at = {"name": self.offset()}
+                at = {"name": self.i}
                 name = self.ident("edge declaration")
                 if name in edges:
-                    raise self.error(f"duplicate edge name {name!r}", at["name"])
+                    raise self.error(f"duplicate edge name {name!r}")
                 self.expect(":")
-                at["src"] = self.offset()
+                at["src"] = self.i
                 src = self.ident("edge declaration")
                 self.expect("->")
-                at["dst"] = self.offset()
+                at["dst"] = self.i
                 dst = self.ident("edge declaration")
                 self.expect(";")
                 edges[name] = Edge(name, src, dst)
                 spots[name] = at
             else:
-                raise self.error("expected 'node' or 'edge'", off)
+                raise self.error("expected 'node' or 'edge'")
         self.expect("}")
         try:  # checked after the block: nodes may follow the edges using them
             return GeneratorGraph(frozenset(nodes), tuple(edges.values()))
@@ -278,17 +278,15 @@ class _Parser:
     def declaration(self, taken) -> Declaration:
         """One ``term`` declaration; its name must not be in ``taken``."""
         self.expect("term")
-        at = self.offset()
         name = self.ident("term declaration")
         if name in taken:
-            raise self.error(f"duplicate term name {name!r}", at)
+            raise self.error(f"duplicate term name {name!r}")
         if name in _KEYWORDS or name in _TERM_WORDS:
-            raise self.error(f"{name!r} is reserved", at)
+            raise self.error(f"{name!r} is reserved")
         self.expect(":")
         dom = self.type_()
-        tok, off = self.next()
-        if tok != "->":
-            raise self.error("expected '->' in term declaration", off)
+        if self.next() != "->":
+            raise self.error("expected '->' in term declaration")
         cod = self.type_()
         self.expect("=")
         body = self.term()
@@ -298,20 +296,14 @@ class _Parser:
 
 def parse_type(text: str) -> ObjectType:
     p = _Parser(text)
-    t = p.type_()
-    if p.peek():
-        p.fail("trailing input after type")
-    return t
+    return p.whole(p.type_, "type")
 
 
 def parse_term(text: str, graph: GeneratorGraph = EMPTY_GRAPH) -> Term:
     """Parse a single (possibly raw) term; generator paths are resolved
     against ``graph``."""
     p = _Parser(text, graph)
-    t = p.term()
-    if p.peek():
-        p.fail("trailing input after term")
-    return t
+    return p.whole(p.term, "term")
 
 
 def parse_module(text: str) -> Module:

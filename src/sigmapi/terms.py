@@ -250,7 +250,7 @@ def _check(t: Term, dom: ObjectType, cod: ObjectType, graph: GeneratorGraph,
                                   Gen(src), dom)
             try:
                 dst = graph.walk(src, edges)
-            except (ValueError, KeyError) as exc:
+            except ValueError as exc:
                 raise TypingError(str(exc), path) from None
             if not isinstance(cod, Gen) or cod.name != dst:
                 raise TypingError(f"generator path ends at {dst}", path,
@@ -290,7 +290,7 @@ def _synth(s: int, t: Term, end: Optional[ObjectType],
             return Gen(t.src)
         try:
             return Gen(graph.walk(t.src, t.edges))
-        except (ValueError, KeyError):
+        except ValueError:
             return None
     if kind is UNARY[o]:
         if isinstance(end, UNARY_TYPE[o]):

@@ -160,6 +160,8 @@ def test_internal_value_error_is_not_a_type_error(spt, monkeypatch, capsys):
 def test_malformed_input_exits_66(spt, capsys):
     # a type naming a node the (empty) graph lacks
     assert run(["enumerate", "-X", "x", "-A", "x"]) == 66
+    assert run(["enumerate", "-X", "x", "-A", "1+x"]) == 66
+    assert "error: unknown node 'x'\n" in capsys.readouterr().err
     # a term that fits no corner of the square
     assert run(["oracle", "path", spt, "--x0", "1", "--x1", "1", "--a0", "1", "--a1", "1",
                 "--left", "f", "--right", "f"]) == 66

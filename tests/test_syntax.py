@@ -1,12 +1,16 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from sigmapi import (
     BANG,
     Cotuple,
+    Gen,
     GenArrow,
     Inj,
     ParseError,
+    Prod,
     Proj,
+    Sum,
     Tuple,
     format_module,
     format_term,
@@ -16,7 +20,7 @@ from sigmapi import (
     parse_term,
     parse_type,
 )
-from sigmapi.terms import Cut, Id, Quest
+from sigmapi.terms import QUEST, Cut, Id, Quest
 from sigmapi.types import ONE, ZERO
 
 
@@ -112,12 +116,67 @@ _GRAPH = "graph { node x; node y; edge k : x -> y; }\n"
      "edge 'k' mentions undeclared node", 1, 31),
     (parse_module, "graph { node x;\n  edge x : x -> x; }", "name 'x' used for both a node and an edge",
      2, 8),
+    (parse_module, "graph { node x;\n  node id; edge k : id -> id; }", "'id' is reserved", 2, 8),
+    (parse_module, "graph { node term; }", "'term' is reserved", 1, 14),
+    (parse_type, "1 + # nothing\n", "expected a type, found 'end of input'", 2, 1),
+    (parse_type, "1 +   ", "expected a type, found 'end of input'", 1, 7),
 ], ids=["stray-character", "stray-after-comment", "eof-in-type", "eof-in-term", "eof-in-edge",
         "eof-in-graph", "reserved-name", "duplicate-term", "duplicate-edge", "node-with-path",
         "unknown-edge", "missing-arrow", "trailing-type", "trailing-term", "undeclared-node",
-        "node-edge-clash"])
+        "node-edge-clash", "keyword-node", "keyword-node-term", "eof-after-comment",
+        "eof-after-space"])
 def test_parse_error_message_and_position(parse, text, message, line, col):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert (str(err.value), err.value.line, err.value.col) == (
         f"{message} (line {line}, column {col})", line, col)
+
+
+@pytest.mark.parametrize("parse, text, kinds, child, leaf", [
+    (parse_type, " * ".join(["0"] * 5001), (Prod,), "right", ZERO),
+    (parse_type, " + ".join(["1"] * 5001), (Sum,), "right", ONE),
+    (parse_term, "p0 s1 p1 s0 " * 1250 + "!", (Proj, Inj), "body", BANG),
+], ids=["product", "sum", "prefix"])
+def test_long_chains_parse(parse, text, kinds, child, leaf):
+    t, depth = parse(text), 0
+    while isinstance(t, kinds):  # walked in a loop: the chain is deeper than the stack
+        t, depth = getattr(t, child), depth + 1
+    assert (depth, t) == (5000, leaf)
+
+
+_G = make_graph(["x", "y"], [("k", "x", "y")])
+
+types = st.recursive(
+    st.sampled_from([ZERO, ONE, Gen("x"), Gen("y")]),
+    lambda t: st.builds(Sum, t, t) | st.builds(Prod, t, t),
+    max_leaves=16,
+)
+terms = st.recursive(
+    st.sampled_from([BANG, QUEST, GenArrow("x", ("k",)), GenArrow("y", ())]),
+    lambda t: (st.builds(Proj, st.sampled_from([0, 1]), t)
+               | st.builds(Inj, st.sampled_from([0, 1]), t)
+               | st.builds(Tuple, t, t) | st.builds(Cotuple, t, t)),
+    max_leaves=16,
+)
+_FRAGMENTS = ["graph", "node", "edge", "term", "id", "x", "k", "p0", "s1", "->", "-", "{", "}",
+              "<", ">", "(", ")", ",", ";", ":", "=", "@", ".", "!", "?", "+", "*", "0", "1",
+              " ", "\n", "# c\n", "$", "graph { node x; edge k : x -> x; }"]
+
+
+@given(types)
+def test_type_roundtrip(t):
+    assert parse_type(format_type(t)) is t
+
+
+@given(terms)
+def test_term_roundtrip(t):
+    assert parse_term(format_term(t), _G) is t
+
+
+@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=24).map(" ".join))
+def test_only_parse_errors_escape(text):
+    for parse in (parse_module, parse_type, parse_term, lambda s: parse_term(s, _G)):
+        try:
+            parse(text)
+        except ParseError:
+            pass

@@ -3,6 +3,7 @@ import pytest
 from sigmapi import (
     BANG,
     QUEST,
+    Gen,
     GenArrow,
     Inj,
     ONE,
@@ -13,6 +14,7 @@ from sigmapi import (
     format_term,
     infer,
     is_cut_free,
+    make_graph,
     parse_term,
     parse_type,
     term_metrics,
@@ -54,6 +56,13 @@ def test_infer_generators(graph_xa):
     with pytest.raises(TypingError):
         infer(arrow, parse_type("x"), parse_type("x"), g)
     infer(GenArrow("x", ()), parse_type("x"), parse_type("x"), g)
+
+
+def test_unknown_edge_message_is_not_quoted():
+    g = make_graph(["x", "y"], [("k", "x", "y")])
+    with pytest.raises(TypingError) as err:
+        infer(GenArrow("x", ("m",)), Gen("x"), Gen("y"), g)
+    assert str(err.value) == "no edge named 'm' (at root)"
 
 
 def test_term_metrics_examples():

@@ -8,14 +8,15 @@ witnesses, and resolve definite maps through their factorizations, with
 a trivial-bouncer step for the mixed projection/injection case.
 """
 
-from sigmapi import annotate, decide_with_stats, parse_term, parse_type, same_class
+from sigmapi import Stats, annotate, equal, parse_term, parse_type, same_class
 
 
 def decide(fsrc, gsrc, dom, cod):
     X, A = parse_type(dom), parse_type(cod)
     f = annotate(parse_term(fsrc), X, A)
     g = annotate(parse_term(gsrc), X, A)
-    verdict, stats = decide_with_stats(f, g)
+    stats = Stats()
+    verdict = equal(f, g, stats)
     oracle = same_class(f.term, g.term, X, A)
     print(f"{fsrc}  vs  {gsrc}  :  {dom} -> {cod}")
     print(f"  {verdict}   [steps={stats.steps}, oracle agrees: {oracle == verdict.__class__.__name__.startswith('Equal')}]")

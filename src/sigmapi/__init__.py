@@ -75,10 +75,7 @@ from .decide import (
     SyntacticRecursion,
     Verdict,
     Witness,
-    decide_terms,
-    decide_with_stats,
     equal,
-    equivalent,
 )
 from .oracle import (
     CardinalPath,

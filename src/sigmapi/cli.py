@@ -17,17 +17,7 @@ from pathlib import Path
 from . import bench as bench_mod
 from .annotate import AnnotatedTerm, annotate
 from .compose import eliminate
-from .decide import (
-    Bouncer,
-    Disconnect,
-    Equal,
-    NotEqual,
-    RequiresOracle,
-    SharedCopoint,
-    SharedPoint,
-    SyntacticRecursion,
-    decide_with_stats,
-)
+from .decide import Equal, NotEqual, RequiresOracle, Stats, SyntacticRecursion, equal
 from .factor import factor_inj, factor_proj
 from .graph import InputError
 from .oracle import (
@@ -93,21 +83,6 @@ def _parallel(module: Module, lname: str, rname: str) -> tuple[AnnotatedTerm, An
     return left, right
 
 
-def _witness_tag(witness) -> str:
-    match witness:
-        case Disconnect():
-            return "disconnect"
-        case SharedPoint():
-            return "shared point"
-        case SharedCopoint():
-            return "shared copoint"
-        case Bouncer():
-            return "bouncer"
-        case SyntacticRecursion():
-            return "syntactic"
-    return "singleton homset"
-
-
 def _emit(payload: dict, text: str, as_json: bool):
     if as_json:
         payload["schema"] = SCHEMA
@@ -139,13 +114,13 @@ def cmd_decide(args) -> int:
         raise CliError("nothing to decide: give --left/--right or --pair", EX_USAGE)
     worst = 0
     for lname, rname in pairs:
-        verdict, stats = decide_with_stats(*_parallel(module, lname, rname))
+        stats = Stats()
+        verdict = equal(*_parallel(module, lname, rname), stats)
         payload = {"left": lname, "right": rname}
         match verdict:
             case Equal(witness):
-                tag = _witness_tag(witness)
-                text = f"Equal ({tag})"
-                payload |= {"verdict": "Equal", "witness_kind": tag}
+                text = f"Equal ({verdict.kind})"
+                payload |= {"verdict": "Equal", "witness_kind": verdict.kind}
                 if args.witness and witness is not None and not isinstance(witness, SyntacticRecursion):
                     payload["witness"] = format_term(witness.term)
                     text += f"  witness: {format_term(witness.term)}"

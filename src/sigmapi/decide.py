@@ -1,11 +1,13 @@
 """Polynomial-time equality of parallel cut-free terms (generator-free).
 
-``equal`` recurses on the typing: singleton homsets are immediate, sum
-domains and product codomains decompose componentwise, points and
-copoints compare syntactically, indefinite maps compare through their
-witnesses, and definite maps between a product and a sum are resolved
-through their four possible factorizations, with ``equivalent`` deciding
-the mixed projection-versus-injection case by a trivial-bouncer search.
+``equal(f, g, stats=None)`` is the one entry point.  It recurses on the
+typing: singleton homsets are immediate, sum domains and product
+codomains decompose componentwise, points and copoints compare
+syntactically, indefinite maps compare through their witnesses, and
+definite maps between a product and a sum are resolved through their
+four possible factorizations, the mixed projection-versus-injection
+case by a trivial-bouncer search.  An ``Equal`` verdict names the rule
+that decided it as ``kind``.
 
 Terms whose domain or codomain mention generator objects are answered
 ``RequiresOracle``; only the exponential oracle decides those.
@@ -14,7 +16,7 @@ Terms whose domain or codomain mention generator objects are answered
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 from .annotate import (
     AnnotatedTerm,
@@ -27,34 +29,38 @@ from .annotate import (
 )
 from .factor import factor
 from .terms import COPOINT, PAIR, PAIR_TYPE, POINT, UNARY, UNIT, UNIT_OBJ, Term, by_side
-from .types import ObjectType, Prod, Sum, ONE, ZERO, contains_gen
+from .types import Prod, Sum, ONE, ZERO, contains_gen
 
 
 # -- verdicts ---------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Disconnect:
+    kind: ClassVar[str] = "disconnect"
     term: Term
 
 
 @dataclass(frozen=True)
 class SharedPoint:
+    kind: ClassVar[str] = "shared point"
     term: Term
 
 
 @dataclass(frozen=True)
 class SharedCopoint:
+    kind: ClassVar[str] = "shared copoint"
     term: Term
 
 
 @dataclass(frozen=True)
 class Bouncer:
+    kind: ClassVar[str] = "bouncer"
     term: Term
 
 
 @dataclass(frozen=True)
 class SyntacticRecursion:
-    pass
+    kind: ClassVar[str] = "syntactic"
 
 
 Witness = Union[Disconnect, SharedPoint, SharedCopoint, Bouncer, SyntacticRecursion]
@@ -63,6 +69,11 @@ Witness = Union[Disconnect, SharedPoint, SharedCopoint, Bouncer, SyntacticRecurs
 @dataclass(frozen=True)
 class Equal:
     witness: Optional[Witness] = None
+
+    @property
+    def kind(self) -> str:
+        """The name of the rule that decided the verdict."""
+        return self.witness.kind if self.witness is not None else "singleton homset"
 
 
 @dataclass(frozen=True)
@@ -88,7 +99,7 @@ class Stats:
     ``calls`` and ``counter`` count the recursion as a tree, as if no
     subproblem were shared; ``dag_calls`` counts the distinct subproblems
     actually decided.  ``memo`` maps each subproblem to its verdict and
-    cost; it exists only while ``equal`` or ``equivalent`` runs.
+    cost; it exists only while ``equal`` runs.
     """
 
     calls: int = 0
@@ -99,17 +110,6 @@ class Stats:
     @property
     def steps(self) -> int:
         return self.calls + self.counter.visits
-
-
-def _with_memo(stats: Stats, decide, *args) -> Verdict:
-    """``decide(*args, stats)`` with a fresh memo in ``stats``, dropped
-    when it returns."""
-    stats.memo = {}
-    try:
-        return decide(*args, stats)
-    finally:
-        stats.dag_calls += len(stats.memo)
-        stats.memo = None
 
 
 # -- componentwise decompositions (linear, annotation-maintaining) ----------
@@ -145,18 +145,13 @@ def equal(f: AnnotatedTerm, g: AnnotatedTerm, stats: Optional[Stats] = None) -> 
         raise ValueError("equal: terms are not parallel")
     if contains_gen(f.dom) or contains_gen(f.cod):
         return RequiresOracle()
-    return _with_memo(stats if stats is not None else Stats(), _equal, f, g)
-
-
-def decide_with_stats(f: AnnotatedTerm, g: AnnotatedTerm) -> tuple[Verdict, Stats]:
-    stats = Stats()
-    return equal(f, g, stats), stats
-
-
-def decide_terms(f: Term, g: Term, dom: ObjectType, cod: ObjectType,
-                 stats: Optional[Stats] = None) -> Verdict:
-    """Convenience wrapper: annotate and decide."""
-    return equal(annotate(f, dom, cod), annotate(g, dom, cod), stats)
+    stats = stats if stats is not None else Stats()
+    stats.memo = {}
+    try:
+        return _equal(f, g, stats)
+    finally:
+        stats.dag_calls += len(stats.memo)
+        stats.memo = None
 
 
 def _equal(f: AnnotatedTerm, g: AnnotatedTerm, stats: Stats) -> Verdict:
@@ -200,13 +195,11 @@ def _equal(f: AnnotatedTerm, g: AnnotatedTerm, stats: Stats) -> Verdict:
             v = _equal(f.children[0], g.children[0], stats)
     # from here on the domain is a product and the codomain a sum
     elif fw.is_disconnect or gw.is_disconnect:
-        # indefinite maps
+        # indefinite maps; beside a disconnect, every (co)pointed map is the disconnect
         if fw.is_disconnect and gw.is_disconnect:
             v = Equal(Disconnect(f.term))
-        elif fw.pointed != gw.pointed and fw.copointed != gw.copointed:
-            v = NotEqual("disconnect-mismatch")  # the other map is definite
         else:
-            v = NotEqual("point-mismatch" if fw.pointed != gw.pointed else "copoint-mismatch")
+            v = NotEqual("disconnect-mismatch")
     elif not (fw.definite and gw.definite):
         s = POINT if fw[POINT] is not None or gw[POINT] is not None else COPOINT
         if fw[s] is None or gw[s] is None:
@@ -267,23 +260,3 @@ def _equivalent(factors, stats: Stats) -> Verdict:
     if isinstance(v, Equal):
         return Equal(Bouncer(h.term))
     return v
-
-
-def equivalent(f: AnnotatedTerm, g: AnnotatedTerm, stats: Optional[Stats] = None) -> Verdict:
-    """Public wrapper for the bouncer case: ``f`` must factor through an
-    injection and ``g`` through a projection (both definite, product
-    domain, sum codomain).  Calling it otherwise is a contract violation.
-    """
-    if f.dom != g.dom or f.cod != g.cod:
-        raise ValueError("equivalent: terms are not parallel")
-    if not (isinstance(f.dom, Prod) and isinstance(f.cod, Sum)):
-        raise ValueError("equivalent: needs a product domain and a sum codomain")
-    if contains_gen(f.dom) or contains_gen(f.cod):
-        return RequiresOracle()
-    if not (f.ann.definite and g.ann.definite):
-        raise ValueError("equivalent: both terms must be definite")
-    stats = stats if stats is not None else Stats()
-    f_inj, g_proj = _factor(POINT, f, stats), _factor(COPOINT, g, stats)
-    if f_inj is None or g_proj is None:
-        raise ValueError("equivalent: terms do not factor as required")
-    return _with_memo(stats, _equivalent, (f_inj, g_proj))

@@ -25,7 +25,7 @@ leaves index ``s`` alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .graph import EMPTY_GRAPH, GeneratorGraph
 from .types import (
@@ -308,28 +308,6 @@ def _synth(s: int, t: Term, end: Optional[ObjectType],
         factors = (t.left, t.right)
         return _synth(s, factors[o], _synth(s, factors[s], end, graph), graph)
     return None
-
-
-def child_typings(t: Term, dom: ObjectType, cod: ObjectType) -> tuple[tuple[Term, ObjectType, ObjectType], ...]:
-    """Children of a well-typed cut-free node, with their typings."""
-    match t:
-        case Proj(i, body):
-            return ((body, dom.component(i), cod),)
-        case Inj(j, body):
-            return ((body, dom, cod.component(j)),)
-        case Tuple(left, right):
-            return ((left, dom, cod.left), (right, dom, cod.right))
-        case Cotuple(left, right):
-            return ((left, dom.left, cod), (right, dom.right, cod))
-        case _:
-            return ()
-
-
-def subterm_typings(t: Term, dom: ObjectType, cod: ObjectType) -> Iterator[tuple[Term, ObjectType, ObjectType]]:
-    """All subterms of a well-typed cut-free term, root first."""
-    yield t, dom, cod
-    for child, d, c in child_typings(t, dom, cod):
-        yield from subterm_typings(child, d, c)
 
 
 def format_term(t: Term) -> str:

@@ -11,6 +11,7 @@ term g : 0*0 -> 0+1 = p1 ? ; s0 id:0 ;
 term pi0 : 0*0 -> 0 = p0 ? ;
 term pi1 : 0*0 -> 0 = p1 ? ;
 term gen : x -> a = @k ;
+term gencut : x -> a = @k ; id:a ;
 term gensum : x -> a + 1 = s0 @k ;
 term genbang : x -> a + 1 = s1 ! ;
 term liftl : 0*0*0 -> 0+0*0 = s1 <p0 ?, p1 p0 ?> ;
@@ -92,6 +93,9 @@ def test_oracle_class(spt, capsys):
 def test_compose(spt, capsys):
     assert run(["compose", spt, "--term", "f"]) == 0
     assert "s0 p0 ?" in capsys.readouterr().out
+    # the cut's middle type comes from walking the generator path
+    assert run(["compose", spt, "--term", "gencut"]) == 0
+    assert capsys.readouterr().out == "@k : x -> a\n"
 
 
 def test_annotate(spt, capsys):
@@ -166,3 +170,37 @@ def test_malformed_input_exits_66(spt, capsys):
     assert run(["oracle", "path", spt, "--x0", "1", "--x1", "1", "--a0", "1", "--a1", "1",
                 "--left", "f", "--right", "f"]) == 66
     assert "does not fit the square" in capsys.readouterr().err
+
+
+_NO_PATH = ["oracle", "path", "{spt}", "--x0", "0", "--x1", "0*0", "--a0", "0", "--a1", "0*0",
+            "--left", "liftl", "--right", "liftr"]
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["decide", "{spt}", "--left", "f"], 64, "error: --left and --right go together"),
+    (["decide", "{spt}"], 64, "error: nothing to decide: give --left/--right or --pair"),
+    (["factor", "{spt}", "--term", "f"], 64, "error: give exactly one of --inj or --proj"),
+    (["decide", "{spt}", "--left", "zz", "--right", "f"], 65,
+     "error: no term named 'zz' in file"),
+    (["check", "{missing}"], 65, "error: cannot read {missing}: "),
+    (["decide", "{spt}", "--left", "f", "--right", "pi0"], 66,
+     "error: f and pi0 are not parallel"),
+    (["compose", "{spt}", "--term", "f", "--with", "pi0"], 66,
+     "error: f ; pi0: middle types differ"),
+    (["factor", "{spt}", "--term", "pi0", "--inj", "0"], 66,
+     "error: pi0 has no sum codomain to factor through"),
+    (["factor", "{spt}", "--term", "gen", "--proj", "0"], 66,
+     "error: gen has no product domain to factor through"),
+    (_NO_PATH, 1, "no path"),
+], ids=["left-alone", "no-pair", "inj-and-proj", "unknown-name", "unreadable", "not-parallel",
+        "middle-types", "no-sum-codomain", "no-product-domain", "no-path"])
+def test_cli_error_exits(argv, code, line, spt, tmp_path, capsys):
+    # every error the CLI raises itself: its exit code and its one stderr
+    # line; a missing oracle path is an answer, so it goes to stdout
+    missing = str(tmp_path / "missing.spt")
+    assert run([a.format(spt=spt, missing=missing) for a in argv]) == code
+    out, err = capsys.readouterr()
+    stream, want = out if code == 1 else err, line.format(missing=missing)
+    # the OS's reason for an unreadable file follows the pinned prefix
+    assert stream == want + "\n" or (want.endswith(": ") and stream.startswith(want)
+                                     and stream.count("\n") == 1)

@@ -1,6 +1,6 @@
 """Every subcommand, in text and with ``--json``: stdout and exit code are
-pinned in ``cli_golden.json``.  ``bench`` times itself, so its ``micros``
-column is masked."""
+pinned in ``cli_golden.json``, and so is every rule name that ``decide``
+prints.  ``bench`` times itself, so its ``micros`` column is masked."""
 
 import json
 from pathlib import Path
@@ -26,6 +26,17 @@ term corner : (1+1)*1 -> 1+1 = p0 {s1 !, s0 !} ;
 term fac : 1+1 -> (1+1)+1 = {s0 s1 !, s0 s0 !} ;
 """
 
+# one pair per rule that the main module's pairs do not reach
+RULES = """
+term sp0 : 1*1 -> 1+1 = s0 p0 ! ;
+term sp1 : 1*1 -> 1+1 = s0 p1 ! ;
+term cp0 : 0*0 -> 0+0 = p0 s0 ? ;
+term cp1 : 0*0 -> 0+0 = p0 s1 ? ;
+term bl : (1+1)*1 -> (1+1)+0 = s0 p0 {s0 !, s1 !} ;
+term br : (1+1)*1 -> (1+1)+0 = p0 s0 {s0 !, s1 !} ;
+term unit : 1 -> 1 = ! ;
+"""
+
 _SQUARE = ["--x0", "1+1", "--x1", "1", "--a0", "1+1", "--a1", "1"]
 
 CASES = {
@@ -34,6 +45,11 @@ CASES = {
     "decide-batch": ["decide", "{spt}", "--pair", "f", "g", "--pair", "pi0", "pi1",
                      "--pair", "liftl", "liftr"],
     "decide-oracle": ["decide", "{spt}", "--left", "gen", "--right", "gen"],
+    "decide-shared-point": ["decide", "{rules}", "--left", "sp0", "--right", "sp1", "--witness"],
+    "decide-shared-copoint": ["decide", "{rules}", "--left", "cp0", "--right", "cp1",
+                              "--witness"],
+    "decide-bouncer": ["decide", "{rules}", "--left", "bl", "--right", "br", "--witness"],
+    "decide-singleton": ["decide", "{rules}", "--left", "unit", "--right", "unit", "--witness"],
     "compose": ["compose", "{spt}", "--term", "f"],
     "compose-with": ["compose", "{spt}", "--term", "pi0", "--with", "z"],
     "annotate": ["annotate", "{spt}", "--term", "liftl"],
@@ -52,9 +68,11 @@ GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encodi
 
 
 def _run(argv, tmp_path, capsys):
-    spt = tmp_path / "golden.spt"
-    spt.write_text(MODULE, encoding="utf-8")
-    code = run([str(spt) if a == "{spt}" else a for a in argv])
+    files = {}
+    for slot, text in (("{spt}", MODULE), ("{rules}", RULES)):
+        files[slot] = tmp_path / f"{slot[1:-1]}.spt"
+        files[slot].write_text(text, encoding="utf-8")
+    code = run([str(files[a]) if a in files else a for a in argv])
     return {"code": code, "stdout": capsys.readouterr().out}
 
 

@@ -1,7 +1,5 @@
 import itertools
 
-import pytest
-
 from sigmapi import (
     Bouncer,
     Cotuple,
@@ -13,13 +11,11 @@ from sigmapi import (
     RequiresOracle,
     SharedCopoint,
     SharedPoint,
+    Stats,
     Tuple,
     annotate,
-    decide_terms,
-    decide_with_stats,
     enumerate_terms,
     equal,
-    equivalent,
     iter_types,
     parse_term,
     parse_type,
@@ -101,21 +97,13 @@ def test_requires_oracle_on_generator_types():
     assert isinstance(equal(h, h), RequiresOracle)
 
 
-def test_equivalent_contract():
-    f, g = _pair("s0 !", "s0 !", "1*1", "1+1")
-    with pytest.raises(ValueError):
-        equivalent(f, g)  # indefinite input is a contract violation
-
-
 def test_mixed_corner_pair_at_units():
     # s0 p0 ! and p0 s0 ! over 1*0 -> 1+0 are both the disconnect of the
-    # homset, so they compare equal through the indefinite analysis (they
-    # are not definite, so `equivalent` itself must not be called on them)
+    # homset, so they compare equal through the indefinite analysis, not
+    # through a bouncer
     f, g = _pair("s0 p0 !", "p0 s0 !", "1*0", "1+0")
     v = equal(f, g)
     assert isinstance(v, Equal) and isinstance(v.witness, Disconnect)
-    with pytest.raises(ValueError):
-        equivalent(f, g)
 
 
 def test_equivalent_example():
@@ -123,7 +111,7 @@ def test_equivalent_example():
     # g side since the inner codomain 1+1 is pointed (s0 is monic)
     body = "{s0 !, s1 !}"
     f, g = _pair(f"s0 p0 {body}", f"p0 s0 {body}", "(1+1)*1", "(1+1)+0")
-    v = equivalent(f, g)
+    v = equal(f, g)
     assert isinstance(v, Equal) and isinstance(v.witness, Bouncer)
     assert v.witness.term == parse_term(body)
 
@@ -143,6 +131,10 @@ def test_equivalence_relation_on_homset():
                     assert eq[i][k]
 
 
+def _decide(f, g, X, A):
+    return equal(annotate(f, X, A), annotate(g, X, A))
+
+
 def test_congruence():
     X, A = parse_type("1+1"), parse_type("1+1")
     classes, index = homset_classes(X, A)
@@ -152,22 +144,23 @@ def test_congruence():
         if index[f] != index[g]:
             continue
         for j in (0, 1):
-            assert isinstance(decide_terms(Inj(j, f), Inj(j, g), X, S), Equal)
+            assert isinstance(_decide(Inj(j, f), Inj(j, g), X, S), Equal)
         for i in (0, 1):
             P = parse_type("(1+1)*0") if i == 0 else parse_type("0*(1+1)")
-            assert isinstance(decide_terms(Proj(i, f), Proj(i, g), P, A), Equal)
-        assert isinstance(decide_terms(Cotuple(f, parse_term("{s0 !, s1 !}")),
-                                       Cotuple(g, parse_term("{s0 !, s1 !}")),
-                                       parse_type("(1+1)+(1+1)"), A), Equal)
-        assert isinstance(decide_terms(Tuple(f, parse_term("!")),
-                                       Tuple(g, parse_term("!")),
-                                       X, parse_type("(1+1)*1")), Equal)
+            assert isinstance(_decide(Proj(i, f), Proj(i, g), P, A), Equal)
+        assert isinstance(_decide(Cotuple(f, parse_term("{s0 !, s1 !}")),
+                                  Cotuple(g, parse_term("{s0 !, s1 !}")),
+                                  parse_type("(1+1)+(1+1)"), A), Equal)
+        assert isinstance(_decide(Tuple(f, parse_term("!")),
+                                  Tuple(g, parse_term("!")),
+                                  X, parse_type("(1+1)*1")), Equal)
 
 
 def test_stats_thresholds():
     # regression thresholds fixed after first measurement
     f, g = _pair("s0 p0 ?", "s0 p1 ?", "0*0", "0+1")
-    v, stats = decide_with_stats(f, g)
+    stats = Stats()
+    v = equal(f, g, stats)
     assert isinstance(v, Equal)
     assert stats.steps <= 200
 
@@ -178,7 +171,8 @@ def test_stats_thresholds():
             anns = [annotate(t, X, A) for t in terms]
             for fa in anns:
                 for ga in anns:
-                    _, st = decide_with_stats(fa, ga)
+                    st = Stats()
+                    equal(fa, ga, st)
                     worst = max(worst, st.steps)
     assert worst <= 200
 
@@ -191,11 +185,13 @@ def test_reflexive_cost_close_to_equal_cost():
     _, index = homset_classes(X, A)
     anns = {t: annotate(t, X, A) for t in terms}
     for t in terms:
-        _, self_stats = decide_with_stats(anns[t], anns[t])
+        self_stats = Stats()
+        equal(anns[t], anns[t], self_stats)
         for u in terms:
             if u is t or index[t] != index[u]:
                 continue
-            _, other_stats = decide_with_stats(anns[t], anns[u])
+            other_stats = Stats()
+            equal(anns[t], anns[u], other_stats)
             assert self_stats.steps <= other_stats.steps + 16
 
 

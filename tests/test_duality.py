@@ -29,8 +29,9 @@ from sigmapi import (
     SharedPoint,
     Sum,
     Tuple,
-    decide_terms,
+    annotate,
     enumerate_terms,
+    equal,
     iter_types,
     neighbours,
 )
@@ -115,6 +116,10 @@ def random_pair(rng, walk):
     return f, g, X, A
 
 
+def _decide(f, g, X, A):
+    return equal(annotate(f, X, A), annotate(g, X, A))
+
+
 def test_op_is_an_involution_on_the_sample():
     rng = random.Random(11)
     for _ in range(200):
@@ -128,8 +133,8 @@ def test_equal_commutes_with_op():
     for n in range(PAIRS):
         walk = n % 2 == 0
         f, g, X, A = random_pair(rng, walk)
-        v = decide_terms(f, g, X, A)
-        w = decide_terms(op(f), op(g), op_type(A), op_type(X))
+        v = _decide(f, g, X, A)
+        w = _decide(op(f), op(g), op_type(A), op_type(X))
         assert type(v) is type(w), (f, g, X, A, v, w)
         if walk:
             assert isinstance(v, Equal), (f, g, X, A, v)
@@ -157,9 +162,9 @@ def test_mismatch_reasons_are_dual():
             terms = enumerate_terms(X, A)
             for f in terms:
                 for g in terms:
-                    v = decide_terms(f, g, X, A)
+                    v = _decide(f, g, X, A)
                     if isinstance(v, NotEqual) and v.reason in DUAL_REASON:
-                        w = decide_terms(op(f), op(g), op_type(A), op_type(X))
+                        w = _decide(op(f), op(g), op_type(A), op_type(X))
                         assert w == NotEqual(DUAL_REASON[v.reason]), (f, g, X, A, v, w)
                         checked[v.reason] += 1
     assert min(checked[r] for r in DUAL_REASON) > 0, checked

@@ -120,16 +120,29 @@ _GRAPH = "graph { node x; node y; edge k : x -> y; }\n"
     (parse_module, "graph { node term; }", "'term' is reserved", 1, 14),
     (parse_type, "1 + # nothing\n", "expected a type, found 'end of input'", 2, 1),
     (parse_type, "1 +   ", "expected a type, found 'end of input'", 1, 7),
+    (parse_term, "p0 (! ; id:1", "expected ')', found 'end of input'", 1, 13),
+    (parse_term, "s0 <p1 (!, !>", "expected ')', found ','", 1, 10),
 ], ids=["stray-character", "stray-after-comment", "eof-in-type", "eof-in-term", "eof-in-edge",
         "eof-in-graph", "reserved-name", "duplicate-term", "duplicate-edge", "node-with-path",
         "unknown-edge", "missing-arrow", "trailing-type", "trailing-term", "undeclared-node",
         "node-edge-clash", "keyword-node", "keyword-node-term", "eof-after-comment",
-        "eof-after-space"])
+        "eof-after-space", "eof-in-parens", "comma-in-parens"])
 def test_parse_error_message_and_position(parse, text, message, line, col):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert (str(err.value), err.value.line, err.value.col) == (
         f"{message} (line {line}, column {col})", line, col)
+
+
+@pytest.mark.parametrize("text, term", [
+    ("p0 (! ; id:1)", Proj(0, Cut(BANG, Id(ONE)))),
+    ("s0 <! ; id:1, p1 (! ; id:1)>", Inj(0, Tuple(Cut(BANG, Id(ONE)),
+                                                  Proj(1, Cut(BANG, Id(ONE)))))),
+], ids=["under-prefix", "in-bracket-under-prefix"])
+def test_parenthesised_cuts(text, term):
+    # a cut under a prefix needs parentheses; inside a bracket it needs none
+    assert parse_term(text) is term
+    assert format_term(term) == text
 
 
 @pytest.mark.parametrize("parse, text, kinds, child, leaf", [

@@ -11,9 +11,14 @@ The calculus is self-dual, so each rule is written once for a *side*
 both witnesses, indexed by side.
 
 Witnesses are kept in canonical form (built from one side's
-constructors only); such terms are the sole members of their
-equivalence classes, so witness agreement at a pairing node is plain
-structural equality.  Two facts shape the rules:
+constructors only): these are the canonical points and copoints, each
+the sole member of its equivalence class.  Terms are interned, so two
+witnesses denote the same arrow exactly when they are the same object;
+this is how a pairing node checks agreement here and how ``decide``
+compares just-pointed maps.  A canonical witness is also its own
+composite with the unit arrow (``! ; pt`` is ``pt``, ``c ; ?`` is
+``c``), so ``factor`` and ``disconnect`` retype a witness rather than
+cut-eliminate it.  Two facts shape the rules:
 
 * a disconnect factors through *every* point of its codomain and every
   copoint of its domain, so agreement checks may skip a component that
@@ -28,13 +33,11 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional
 
-from .compose import compose
 from .terms import (
     COPOINT,
     PAIR,
     PAIR_TYPE,
     POINT,
-    QUEST,
     UNARY,
     UNARY_TYPE,
     UNIT,
@@ -98,11 +101,10 @@ def type_copointed(t: ObjectType) -> bool:
 
 def disconnect(dom: ObjectType, cod: ObjectType) -> Optional[Term]:
     """The unique pointed-and-copointed arrow ``dom -> cod`` when it
-    exists (dom copointed, cod pointed), as a cut-free term."""
-    c = copoint_of(dom)
-    if c is None or not type_pointed(cod):
-        return None
-    return compose(c, QUEST)
+    exists (dom copointed, cod pointed), as a cut-free term: the canonical
+    copoint of ``dom``, its ``?`` leaves read as ``0 -> cod``.  (Its
+    composite with ``? : 0 -> cod`` is itself.)"""
+    return copoint_of(dom) if type_pointed(cod) else None
 
 
 class Annotation(tuple):

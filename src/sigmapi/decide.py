@@ -24,11 +24,10 @@ from .annotate import (
     ann_pair,
     ann_unary,
     ann_unit,
-    annotate,
     type_pointed,
 )
 from .factor import factor
-from .terms import COPOINT, PAIR, PAIR_TYPE, POINT, UNARY, UNIT, UNIT_OBJ, Term, by_side
+from .terms import COPOINT, PAIR, PAIR_TYPE, POINT, UNARY, UNIT, Term
 from .types import Prod, Sum, ONE, ZERO, contains_gen
 
 
@@ -201,13 +200,15 @@ def _equal(f: AnnotatedTerm, g: AnnotatedTerm, stats: Stats) -> Verdict:
         else:
             v = NotEqual("disconnect-mismatch")
     elif not (fw.definite and gw.definite):
+        # just-pointed maps ``! ; pt`` are equal exactly when their points
+        # are; a canonical witness is the only term of its class, and terms
+        # are interned, so the points are equal exactly when they are the
+        # same object.  Copoints dually.
         s = POINT if fw[POINT] is not None or gw[POINT] is not None else COPOINT
-        if fw[s] is None or gw[s] is None:
-            v = NotEqual(MISMATCH[s])
+        if fw[s] is not None and fw[s] is gw[s]:
+            v = Equal(SHARED[s](fw[s]))
         else:
-            c = _equal(annotate(fw[s], *by_side(s, UNIT_OBJ[s], f.end(1 - s))),
-                       annotate(gw[s], *by_side(s, UNIT_OBJ[s], f.end(1 - s))), stats)
-            v = Equal(SHARED[s](fw[s])) if isinstance(c, Equal) else NotEqual(MISMATCH[s])
+            v = NotEqual(MISMATCH[s])
     else:
         # definite maps: resolve through the four factorizations
         f_inj, g_inj = _factor(POINT, f, stats), _factor(POINT, g, stats)

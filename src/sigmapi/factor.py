@@ -18,8 +18,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .annotate import AnnotatedTerm, VisitCounter, ann_pair, ann_unary, annotate
-from .compose import compose
-from .terms import COPOINT, PAIR, POINT, UNARY, UNARY_TYPE, UNIT, by_side
+from .terms import COPOINT, PAIR, POINT, UNARY, UNARY_TYPE, by_side
 
 
 def factor(s: int, f: AnnotatedTerm, k: int,
@@ -33,9 +32,9 @@ def factor(s: int, f: AnnotatedTerm, k: int,
     if type(t) is UNARY[s] and t.index == k:
         return f.children[0]
     if f.ann[o] is not None:
-        # a witness of the other side lifts through the unit object
-        through = compose(*by_side(s, f.ann[o], UNIT[o]))
-        return annotate(through, *by_side(s, f.end(s), f.end(o).component(k)))
+        # a witness of the other side lifts through the unit object, and
+        # being canonical it is its own composite with the unit arrow
+        return annotate(f.ann[o], *by_side(s, f.end(s), f.end(o).component(k)))
     if type(t) is UNARY[s]:  # the other index, without a witness: blocked
         return None
     if type(t) is PAIR[o]:

@@ -98,10 +98,6 @@ class GeneratorGraph:
                     if e.src == at:
                         nxt.append((e.dst, path + (e.name,)))
             frontier = nxt
-            if len(out) > guard:
-                raise GuardExceeded(
-                    f"path enumeration {src!r} -> {dst!r} exceeded guard {guard}"
-                )
         return tuple(out)
 
 

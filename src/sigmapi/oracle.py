@@ -30,6 +30,7 @@ from .terms import (
     Term,
     Tuple,
     infer,
+    is_cut_free,
     term_sort_key,
 )
 from .types import (
@@ -330,81 +331,63 @@ def cardinal_path(square: CardinalSquare, f: Term, g: Term,
                   g_typing: tuple[ObjectType, ObjectType],
                   graph: GeneratorGraph = EMPTY_GRAPH, *,
                   guard: int = DEFAULT_GUARD) -> Optional[CardinalPath]:
-    """Shortest path between two corner elements in the diagram of
-    cardinals, or None; adjacency is the elementary-pair relation
-    ``p_i h ~ s_j h`` ranging over the side homsets."""
-    starts = _corner_placements(square, f, *f_typing)
-    goals = _corner_placements(square, g, *g_typing)
+    """Shortest path between two cut-free corner elements in the diagram
+    of cardinals, or None; adjacency is the elementary-pair relation
+    ``p_i h ~ s_j h`` ranging over the side homsets.  The path's end
+    terms are ``f`` and ``g`` as placed, its inner ones canonical."""
+    def classes(corner):
+        return homset_classes(*square.corner_homset(corner), graph, guard=guard)
 
-    def node_of(corner, term):
-        d, c = square.corner_homset(corner)
-        _, index = homset_classes(d, c, graph, guard=guard)
-        return (corner, index[term]) if term in index else None
+    def node(corner, term):
+        return corner, classes(corner)[1][term]
+
+    def placed(t, typing):
+        """Each node of ``t``'s placements, with the first term placed there."""
+        infer(t, *typing, graph)
+        if not is_cut_free(t):
+            raise InputError(f"cardinal_path: {t!r} is not cut-free")
+        out: dict[tuple, Term] = {}
+        for corner, term in _corner_placements(square, t, *typing):
+            out.setdefault(node(corner, term), term)
+        return out
+
+    starts, goals = placed(f, f_typing), placed(g, g_typing)
 
     # adjacency: for every side term h, p_i h in corner (prod, j) meets
     # s_j h in corner (fac, i)
     adj: dict[tuple, list[tuple[tuple, Term]]] = {}
     for i in (0, 1):
         for j in (0, 1):
-            side = enumerate_terms(square.x(i), square.a(j), graph, guard=guard)
-            for h in side:
-                u = node_of(("prod", j), Proj(i, h))
-                v = node_of(("fac", i), Inj(j, h))
+            for h in enumerate_terms(square.x(i), square.a(j), graph, guard=guard):
+                u, v = node(("prod", j), Proj(i, h)), node(("fac", i), Inj(j, h))
                 adj.setdefault(u, []).append((v, h))
                 adj.setdefault(v, []).append((u, h))
 
-    start_nodes = {}
-    for corner, term in starts:
-        n = node_of(corner, term)
-        start_nodes.setdefault(n, (corner, term))
-    goal_nodes = {}
-    for corner, term in goals:
-        n = node_of(corner, term)
-        goal_nodes.setdefault(n, (corner, term))
-
-    prev: dict[tuple, Optional[tuple]] = {n: None for n in start_nodes}
-    via: dict[tuple, Term] = {}
-    queue = deque(start_nodes)
-    hit = None
-    for n in start_nodes:
-        if n in goal_nodes:
-            hit = n
-            break
-    while queue and hit is None:
+    # breadth-first; parent maps a node to (previous node, side term)
+    parent: dict[tuple, Optional[tuple]] = dict.fromkeys(starts)
+    queue = deque(starts)
+    while queue:
         cur = queue.popleft()
+        if cur in goals:
+            break
         for nxt, h in adj.get(cur, ()):
-            if nxt in prev:
-                continue
-            prev[nxt] = cur
-            via[nxt] = h
-            if nxt in goal_nodes:
-                hit = nxt
-                queue.clear()
-                break
-            queue.append(nxt)
-    if hit is None:
+            if nxt not in parent:
+                parent[nxt] = (cur, h)
+                queue.append(nxt)
+    else:
         return None
 
-    nodes = [hit]
-    while prev[nodes[-1]] is not None:
-        nodes.append(prev[nodes[-1]])
+    nodes, witnesses = [cur], []
+    while parent[nodes[-1]] is not None:
+        prev, h = parent[nodes[-1]]
+        nodes.append(prev)
+        witnesses.append(h)
     nodes.reverse()
-
-    def representative(node):
-        corner, idx = node
-        d, c = square.corner_homset(corner)
-        classes, _ = homset_classes(d, c, graph, guard=guard)
-        return classes[idx].canonical
-
-    corners = tuple(n[0] for n in nodes)
-    terms = tuple(
-        start_nodes[n][1] if n in start_nodes and k == 0
-        else (goal_nodes[n][1] if n in goal_nodes and k == len(nodes) - 1
-              else representative(n))
-        for k, n in enumerate(nodes)
-    )
-    witnesses = tuple(via[n] for n in nodes[1:])
-    return CardinalPath(corners, terms, witnesses)
+    witnesses.reverse()
+    inner = [classes(corner)[0][k].canonical for corner, k in nodes[1:-1]]
+    ends = [goals[cur]] if len(nodes) > 1 else []
+    return CardinalPath(tuple(n[0] for n in nodes),
+                        (starts[nodes[0]], *inner, *ends), tuple(witnesses))
 
 
 def find_bouncers(square: CardinalSquare, i: int, j: int, a0: Term, a2: Term,

@@ -8,6 +8,7 @@ from sigmapi import (
     Proj,
     ZERO,
     VisitCounter,
+    class_of,
     annotate,
     compose,
     copoint_of,
@@ -158,3 +159,47 @@ def test_witnesses_correct_at_size_7():
         if a.ann.copointed:
             assert same_class(t, compose(a.ann.copoint_witness, QUEST), X, A)
         checked += 1
+
+
+def _assert_canonical(pt, cp, dom, cod):
+    """``pt : 1 -> cod`` and ``cp : dom -> 0`` (either may be None) are
+    their own composites with the unit arrow, interned, and the only
+    members of their classes."""
+    if pt is not None:
+        assert compose(BANG, pt) is pt, pt
+        assert len(class_of(pt, ONE, cod)) == 1, pt
+    if cp is not None:
+        assert compose(cp, QUEST) is cp, cp
+        assert len(class_of(cp, dom, ZERO)) == 1, cp
+
+
+def test_canonical_witnesses_stand_for_themselves():
+    # decide compares witnesses by identity, and factor and disconnect
+    # retype them without cut elimination; both rest on this
+    points = copoints = 0
+    for t in iter_types(9):
+        pt, cp = point_of(t), copoint_of(t)
+        if pt is not None:
+            assert compose(BANG, pt) is pt, t
+            points += 1
+        if cp is not None:
+            assert compose(cp, QUEST) is cp, t
+            copoints += 1
+    assert (points, copoints) == (3941, 3941)
+    singletons = 0
+    for t in iter_types(7):
+        _assert_canonical(point_of(t), copoint_of(t), t, t)
+        singletons += (point_of(t) is not None) + (copoint_of(t) is not None)
+    assert singletons == 714
+
+
+def test_annotation_witnesses_stand_for_themselves():
+    points = copoints = 0
+    for X in iter_types(4):
+        for A in iter_types(4):
+            for t in enumerate_terms(X, A):
+                a = annotate(t, X, A)
+                _assert_canonical(a.ann.point_witness, a.ann.copoint_witness, X, A)
+                points += a.ann.pointed
+                copoints += a.ann.copointed
+    assert (points, copoints) == (125, 125)

@@ -6,10 +6,12 @@ from sigmapi import (
     BANG,
     QUEST,
     GuardExceeded,
+    InputError,
     Inj,
     ONE,
     Proj,
     ZERO,
+    TypingError,
     class_of,
     enumerate_terms,
     iter_types,
@@ -110,6 +112,21 @@ def test_cardinal_path_absent_between_opposite_definite_corners():
     path = cardinal_path(sq, Proj(0, f), Inj(1, Proj(0, g)),
                          (sq.dom, sq.a(0)), (sq.dom, sq.cod))
     assert path is None
+
+
+def test_cardinal_path_checks_its_inputs():
+    # s0 ! : 1 -> 1 is ill-typed, so the term has no class to start from
+    sq = CardinalSquare(parse_type("1+1"), ONE, parse_type("1+1"), ZERO)
+    t = parse_term("s0 p0 {s0 !, s1 !}")
+    corner = (sq.dom, sq.a(0))
+    with pytest.raises(TypingError):
+        cardinal_path(sq, t, t, corner, corner)
+    with pytest.raises(TypingError):
+        cardinal_path(sq, parse_term("p0 {s0 !, s1 !}"), t, corner, corner)
+    # a raw term is in no class either
+    cut = parse_term("p0 ({s0 !, s1 !} ; id:1+1)")
+    with pytest.raises(InputError, match="not cut-free"):
+        cardinal_path(sq, cut, cut, corner, corner)
 
 
 def test_find_bouncers_trivial():

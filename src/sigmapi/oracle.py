@@ -8,7 +8,9 @@ tuples with a tuple of cotuples, and the unit laws (``p_i ! = !``,
 ``s_j ? = ?``, ``{!,!} = !``, ``<?,?> = ?``, and ``! = ?`` at ``0 -> 1``).
 The closure applies every law as a bidirectional rewrite at every
 position until a fixpoint; it is exponential but exact, and is the only
-equality route for terms over generator objects.
+equality route for terms over generator objects.  ``neighbours`` writes
+each law once, for a side, from the duality table of ``terms``: the
+dual of a law is the same lines read for the other side.
 """
 
 from __future__ import annotations
@@ -20,13 +22,16 @@ from typing import Iterator, Optional
 from .graph import EMPTY_GRAPH, GeneratorGraph, InputError
 from .terms import (
     BANG,
+    PAIR,
+    PAIR_TYPE,
     QUEST,
-    Bang,
+    UNARY,
+    UNARY_TYPE,
+    UNIT,
     Cotuple,
     GenArrow,
     Inj,
     Proj,
-    Quest,
     Term,
     Tuple,
     infer,
@@ -61,57 +66,39 @@ class EqClass:
         return len(self.members)
 
 
-def _root_rewrites(t: Term, dom: ObjectType, cod: ObjectType) -> Iterator[Term]:
-    """One-step images of ``t`` under the permuting conversions applied at
-    the root, in both directions."""
-    match t:
-        case Proj(i, Tuple(u, v)):
-            yield Tuple(Proj(i, u), Proj(i, v))
-        case Proj(i, Inj(j, u)):
-            yield Inj(j, Proj(i, u))
-        case Proj(_, Bang()):
-            yield BANG
-        case Inj(j, Cotuple(u, v)):
-            yield Cotuple(Inj(j, u), Inj(j, v))
-        case Inj(j, Proj(i, u)):
-            yield Proj(i, Inj(j, u))
-        case Inj(_, Quest()):
-            yield QUEST
-    match t:
-        case Tuple(Proj(i1, u), Proj(i2, v)) if i1 == i2:
-            yield Proj(i1, Tuple(u, v))
-        case Cotuple(Inj(j1, u), Inj(j2, v)) if j1 == j2:
-            yield Inj(j1, Cotuple(u, v))
-    match t:
-        case Cotuple(Tuple(a, b), Tuple(c, d)):
-            yield Tuple(Cotuple(a, c), Cotuple(b, d))
-        case Tuple(Cotuple(a, c), Cotuple(b, d)):
-            yield Cotuple(Tuple(a, b), Tuple(c, d))
-        case Cotuple(Bang(), Bang()):
-            yield BANG
-        case Tuple(Quest(), Quest()):
-            yield QUEST
-        case Bang():
-            if isinstance(dom, Prod):
-                yield Proj(0, BANG)
-                yield Proj(1, BANG)
-            if isinstance(dom, Sum):
-                yield Cotuple(BANG, BANG)
-            if dom == ZERO and cod == ONE:
-                yield QUEST
-        case Quest():
-            if isinstance(cod, Sum):
-                yield Inj(0, QUEST)
-                yield Inj(1, QUEST)
-            if isinstance(cod, Prod):
-                yield Tuple(QUEST, QUEST)
-            if dom == ZERO and cod == ONE:
-                yield BANG
-
-
 def neighbours(t: Term, dom: ObjectType, cod: ObjectType) -> list[Term]:
-    """One-step rewrite images of ``t`` at every position."""
-    out = list(_root_rewrites(t, dom, cod))
+    """One-step images of ``t`` under the permuting conversions, in both
+    directions: those at the root first, then those inside each child,
+    left to right.  Each law is written once, for the side of the root
+    constructor, ``o`` being the other side; its comment shows one of its
+    two dual instances."""
+    out: list[Term] = []
+    kind = type(t)
+    if kind in UNARY:
+        o, k, body = 1 - UNARY.index(kind), t.index, t.body
+        if type(body) is PAIR[o]:  # p_i <u, v> = <p_i u, p_i v>
+            out.append(PAIR[o](kind(k, body.left), kind(k, body.right)))
+        elif type(body) is UNARY[o]:  # p_i s_j u = s_j p_i u
+            out.append(UNARY[o](body.index, kind(k, body.body)))
+        elif body is UNIT[o]:  # p_i ! = !
+            out.append(body)
+    elif kind in PAIR:
+        o, l, r = 1 - PAIR.index(kind), t.left, t.right
+        if type(l) is type(r) is UNARY[o] and l.index == r.index:  # <p_i u, p_i v> = p_i <u, v>
+            out.append(UNARY[o](l.index, kind(l.body, r.body)))
+        elif type(l) is type(r) is PAIR[o]:  # <{a, b}, {c, d}> = {<a, c>, <b, d>}
+            out.append(PAIR[o](kind(l.left, r.left), kind(l.right, r.right)))
+        elif l is r is UNIT[o]:  # <?, ?> = ?
+            out.append(l)
+    elif t in UNIT:
+        s = UNIT.index(t)
+        o, end = 1 - s, (dom, cod)[s]  # the end that side s leaves alone
+        if isinstance(end, UNARY_TYPE[o]):  # ! = p_0 ! = p_1 ! out of a product
+            out += (UNARY[o](0, t), UNARY[o](1, t))
+        elif isinstance(end, PAIR_TYPE[o]):  # ! = {!, !} out of a sum
+            out.append(PAIR[o](t, t))
+        elif dom is ZERO and cod is ONE:  # ! = ? at 0 -> 1
+            out.append(UNIT[o])
     match t:
         case Proj(i, body):
             out.extend(Proj(i, b) for b in neighbours(body, dom.component(i), cod))
@@ -124,6 +111,13 @@ def neighbours(t: Term, dom: ObjectType, cod: ObjectType) -> list[Term]:
             out.extend(Cotuple(l, right) for l in neighbours(left, dom.left, cod))
             out.extend(Cotuple(left, r) for r in neighbours(right, dom.right, cod))
     return out
+
+
+def _check_cut_free(where: str, *terms: Term) -> None:
+    """Raise InputError on a raw term: no class closure ever meets one."""
+    for t in terms:
+        if not is_cut_free(t):
+            raise InputError(f"{where}: {t!r} is not cut-free")
 
 
 def _closure(t: Term, dom: ObjectType, cod: ObjectType, guard: int) -> Iterator[Term]:
@@ -150,6 +144,7 @@ def class_of(t: Term, dom: ObjectType, cod: ObjectType, *,
              guard: int = DEFAULT_GUARD) -> EqClass:
     """Closure of ``t`` under the permuting conversions: a worklist
     fixpoint; raises GuardExceeded past ``guard`` members."""
+    _check_cut_free("class_of", t)
     members = frozenset(_closure(t, dom, cod, guard))
     return EqClass(dom, cod, members, min(members, key=term_sort_key))
 
@@ -158,6 +153,7 @@ def same_class(f: Term, g: Term, dom: ObjectType, cod: ObjectType, *,
                guard: int = DEFAULT_GUARD) -> bool:
     """Whether two parallel cut-free terms are related by the permuting
     conversions.  Breadth-first from ``f`` with early exit at ``g``."""
+    _check_cut_free("same_class", f, g)
     return any(member is g for member in _closure(f, dom, cod, guard))
 
 
@@ -344,8 +340,7 @@ def cardinal_path(square: CardinalSquare, f: Term, g: Term,
     def placed(t, typing):
         """Each node of ``t``'s placements, with the first term placed there."""
         infer(t, *typing, graph)
-        if not is_cut_free(t):
-            raise InputError(f"cardinal_path: {t!r} is not cut-free")
+        _check_cut_free("cardinal_path", t)
         out: dict[tuple, Term] = {}
         for corner, term in _corner_placements(square, t, *typing):
             out.setdefault(node(corner, term), term)
@@ -398,6 +393,7 @@ def find_bouncers(square: CardinalSquare, i: int, j: int, a0: Term, a2: Term,
     side_dom, side_cod = square.x(i), square.a(j)
     infer(a0, side_dom, side_cod, graph)
     infer(a2, side_dom, side_cod, graph)
+    _check_cut_free("find_bouncers", a0, a2)
     out = []
     for h in enumerate_terms(side_dom, side_cod, graph, guard=guard):
         if not same_class(Proj(i, h), Proj(i, a0), square.dom, side_cod, guard=guard):

@@ -169,8 +169,6 @@ def iter_types(max_size: int, atoms: tuple[ObjectType, ...] = (ZERO, ONE)):
         acc: list[ObjectType] = []
         for left_size in range(1, size - 1):
             right_size = size - 1 - left_size
-            if right_size < 1:
-                continue
             for left in by_size.get(left_size, ()):
                 for right in by_size.get(right_size, ()):
                     acc.append(Sum(left, right))

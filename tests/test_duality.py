@@ -35,6 +35,7 @@ from sigmapi import (
     iter_types,
     neighbours,
 )
+from sigmapi.oracle import homset_classes
 
 PAIRS = 2000
 WALK_STEPS = 12
@@ -168,3 +169,20 @@ def test_mismatch_reasons_are_dual():
                         assert w == NotEqual(DUAL_REASON[v.reason]), (f, g, X, A, v, w)
                         checked[v.reason] += 1
     assert min(checked[r] for r in DUAL_REASON) > 0, checked
+
+
+def test_conversion_step_is_symmetric_and_self_dual():
+    """Every law is a bidirectional rewrite, and the one-step relation
+    commutes with ``op``, order included: on every class member over
+    ``iter_types(3)`` squared and on both terms of 200 seeded pairs."""
+    cases = [(t, X, A) for X in iter_types(3) for A in iter_types(3)
+             for c in homset_classes(X, A)[0] for t in c.members]
+    rng = random.Random(7)
+    for k in range(200):
+        f, g, X, A = random_pair(rng, walk=k % 2 == 0)
+        cases += [(f, X, A), (g, X, A)]
+    for t, X, A in cases:
+        images = neighbours(t, X, A)
+        for u in images:
+            assert t in neighbours(u, X, A), (t, u, X, A)
+        assert [op(u) for u in images] == neighbours(op(t), op_type(A), op_type(X)), (t, X, A)

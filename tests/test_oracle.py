@@ -20,7 +20,14 @@ from sigmapi import (
     same_class,
     term_sort_key,
 )
-from sigmapi.oracle import CardinalSquare, cardinal_path, find_bouncers, homset_classes
+from sigmapi.oracle import (
+    DEFAULT_GUARD,
+    CardinalSquare,
+    _closure,
+    cardinal_path,
+    find_bouncers,
+    homset_classes,
+)
 
 
 def test_class_of_quest_into_sum():
@@ -127,6 +134,44 @@ def test_cardinal_path_checks_its_inputs():
     cut = parse_term("p0 ({s0 !, s1 !} ; id:1+1)")
     with pytest.raises(InputError, match="not cut-free"):
         cardinal_path(sq, cut, cut, corner, corner)
+
+
+def test_closures_reject_raw_terms():
+    # a raw term is in no class, so the oracle refuses it instead of
+    # answering for a class that never meets it
+    t = parse_term("{s0 !, s1 !}")
+    raw = parse_term("{s0 !, s1 !} ; id:1+1")
+    x = parse_type("1+1")
+    with pytest.raises(InputError, match="not cut-free"):
+        same_class(raw, t, x, x)
+    with pytest.raises(InputError, match="not cut-free"):
+        same_class(t, raw, x, x)
+    with pytest.raises(InputError, match="not cut-free"):
+        class_of(raw, x, x)
+    sq = CardinalSquare(x, ONE, x, ZERO)
+    assert find_bouncers(sq, 0, 0, t, t) == (t,)
+    with pytest.raises(InputError, match="not cut-free"):
+        find_bouncers(sq, 0, 0, raw, raw)
+    with pytest.raises(InputError, match="not cut-free"):
+        find_bouncers(sq, 0, 0, t, raw)
+
+
+CLASS_OF_QUEST = ["?", "<?, ?>", "<s0 ?, ?>", "<s1 ?, ?>", "<?, !>", "<s0 !, ?>",
+                  "<s0 ?, !>", "<s1 !, ?>", "<s1 ?, !>", "<s0 !, !>", "<s1 !, !>"]
+
+
+def test_closure_guard_boundary():
+    # the class of ? at 0 -> (1+1)*1, in breadth-first order; the guard
+    # counts members, and the member past it is yielded before the check
+    x = parse_type("(1+1)*1")
+    order = [parse_term(m) for m in CLASS_OF_QUEST]
+    assert list(_closure(QUEST, ZERO, x, DEFAULT_GUARD)) == order
+    assert class_of(QUEST, ZERO, x, guard=11).members == set(order)
+    with pytest.raises(GuardExceeded):
+        class_of(QUEST, ZERO, x, guard=10)
+    assert same_class(QUEST, order[-1], ZERO, x, guard=10)
+    with pytest.raises(GuardExceeded):
+        same_class(QUEST, order[-1], ZERO, x, guard=9)
 
 
 def test_find_bouncers_trivial():

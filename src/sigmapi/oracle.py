@@ -66,12 +66,24 @@ class EqClass:
         return len(self.members)
 
 
-def neighbours(t: Term, dom: ObjectType, cod: ObjectType) -> list[Term]:
+def neighbours(t: Term, dom: ObjectType, cod: ObjectType,
+               memo: Optional[dict] = None) -> list[Term]:
     """One-step images of ``t`` under the permuting conversions, in both
     directions: those at the root first, then those inside each child,
     left to right.  Each law is written once, for the side of the root
     constructor, ``o`` being the other side; its comment shows one of its
-    two dual instances."""
+    two dual instances.
+
+    ``memo`` maps ``(t, dom, cod)`` to its list of images, shared by the
+    recursion into children: a subterm met again, in this member or in
+    another, is looked up rather than rewritten again.  Lists taken from
+    the memo are the memo's own and must not be mutated.  Without a memo
+    every call builds a fresh list."""
+    if memo is not None:
+        key = (t, dom, cod)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
     out: list[Term] = []
     kind = type(t)
     if kind in UNARY:
@@ -101,15 +113,17 @@ def neighbours(t: Term, dom: ObjectType, cod: ObjectType) -> list[Term]:
             out.append(UNIT[o])
     match t:
         case Proj(i, body):
-            out.extend(Proj(i, b) for b in neighbours(body, dom.component(i), cod))
+            out.extend(Proj(i, b) for b in neighbours(body, dom.component(i), cod, memo))
         case Inj(j, body):
-            out.extend(Inj(j, b) for b in neighbours(body, dom, cod.component(j)))
+            out.extend(Inj(j, b) for b in neighbours(body, dom, cod.component(j), memo))
         case Tuple(left, right):
-            out.extend(Tuple(l, right) for l in neighbours(left, dom, cod.left))
-            out.extend(Tuple(left, r) for r in neighbours(right, dom, cod.right))
+            out.extend(Tuple(l, right) for l in neighbours(left, dom, cod.left, memo))
+            out.extend(Tuple(left, r) for r in neighbours(right, dom, cod.right, memo))
         case Cotuple(left, right):
-            out.extend(Cotuple(l, right) for l in neighbours(left, dom.left, cod))
-            out.extend(Cotuple(left, r) for r in neighbours(right, dom.right, cod))
+            out.extend(Cotuple(l, right) for l in neighbours(left, dom.left, cod, memo))
+            out.extend(Cotuple(left, r) for r in neighbours(right, dom.right, cod, memo))
+    if memo is not None:
+        memo[key] = out
     return out
 
 
@@ -123,21 +137,28 @@ def _check_cut_free(where: str, *terms: Term) -> None:
 def _closure(t: Term, dom: ObjectType, cod: ObjectType, guard: int) -> Iterator[Term]:
     """The members of the class of ``t`` in breadth-first order, ``t``
     first; raises GuardExceeded past ``guard`` members, after yielding
-    the member that exceeds it."""
+    the member that exceeds it, with the members found and the frontier
+    (found but not yet expanded) in its message.
+
+    Members share most of their subterms, so one neighbour memo serves
+    the whole closure; it is made here and dropped when the closure
+    returns, so memory does not outlive the call."""
     seen: set[Term] = {t}
     todo: deque[Term] = deque((t,))
+    memo: dict = {}
     yield t
     while todo:
         cur = todo.popleft()
-        for image in neighbours(cur, dom, cod):
+        for image in neighbours(cur, dom, cod, memo):
             if image not in seen:
                 yield image
                 seen.add(image)
+                todo.append(image)
                 if len(seen) > guard:
                     raise GuardExceeded(
                         f"class closure at {format_type(dom)} -> {format_type(cod)} "
-                        f"exceeded {guard} members")
-                todo.append(image)
+                        f"exceeded {guard} members: {len(seen)} found, "
+                        f"{len(todo)} on the frontier")
 
 
 def class_of(t: Term, dom: ObjectType, cod: ObjectType, *,

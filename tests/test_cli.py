@@ -118,6 +118,14 @@ def test_enumerate_guard(capsys):
     assert run(["enumerate", "-X", "1*1", "-A", "1+1", "--guard", "3"]) == 70
 
 
+def test_closure_guard_reports_progress(capsys):
+    # one enumerated term, whose class of 11 members trips the guard
+    assert run(["enumerate", "-X", "0", "-A", "(1+1)*1", "--classes", "--guard", "10"]) == 70
+    assert capsys.readouterr().err == (
+        "guard exceeded: class closure at 0 -> (1 + 1) * 1 exceeded 10 members: "
+        "11 found, 3 on the frontier\n")
+
+
 def test_usage_error():
     with pytest.raises(SystemExit) as exc:
         run(["decide"])  # missing file

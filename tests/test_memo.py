@@ -1,6 +1,6 @@
-"""The per-call memos of ``infer``, ``eliminate``, ``annotate`` and
-``equal``: no extra stack frame per term level, and counts that still
-measure the term tree."""
+"""The per-call memos of ``infer``, ``eliminate``, ``annotate``,
+``equal`` and the oracle's class closure: no extra stack frame per term
+level, and counts that still measure the term tree."""
 
 from sigmapi import (
     BANG,
@@ -10,9 +10,11 @@ from sigmapi import (
     Stats,
     VisitCounter,
     annotate,
+    class_of,
     eliminate,
     equal,
     infer,
+    same_class,
     term_metrics,
 )
 from sigmapi.bench import balanced_type, run_bench
@@ -39,6 +41,12 @@ def test_memos_add_no_stack_frames():
     a = annotate(t, ONE, cod)
     assert a.ann.pointed
     assert isinstance(equal(a, annotate(t, ONE, cod)), Equal)
+    # the closure's neighbour memo looks up inline, in ``neighbours``'s own
+    # frame; the NotEqual pair closes the whole class of ``t``
+    assert same_class(t, t, ONE, cod)
+    g = _nested(Inj(0, BANG))[0].body  # t with its innermost s1 ! as s0 !
+    assert not same_class(t, g, ONE, cod)
+    assert class_of(t, ONE, cod).members == {t}
 
 
 # Stats.steps of run_bench(12), the same as with equal's memo lookup

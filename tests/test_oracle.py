@@ -20,6 +20,7 @@ from sigmapi import (
     same_class,
     term_sort_key,
 )
+from sigmapi.graph import EMPTY_GRAPH
 from sigmapi.oracle import (
     DEFAULT_GUARD,
     CardinalSquare,
@@ -27,6 +28,7 @@ from sigmapi.oracle import (
     cardinal_path,
     find_bouncers,
     homset_classes,
+    neighbours,
 )
 
 
@@ -172,6 +174,44 @@ def test_closure_guard_boundary():
     assert same_class(QUEST, order[-1], ZERO, x, guard=10)
     with pytest.raises(GuardExceeded):
         same_class(QUEST, order[-1], ZERO, x, guard=9)
+
+
+def test_closure_guard_reports_progress():
+    # the members found and the frontier left unexpanded when the guard trips
+    x = parse_type("(1+1)*1")
+    with pytest.raises(GuardExceeded,
+                       match=r"exceeded 10 members: 11 found, 3 on the frontier$"):
+        class_of(QUEST, ZERO, x, guard=10)
+    with pytest.raises(GuardExceeded,
+                       match=r"exceeded 9 members: 10 found, 4 on the frontier$"):
+        same_class(QUEST, BANG, ZERO, x, guard=9)
+
+
+def _reference_closure(t, dom, cod):
+    """Breadth-first closure through the public, memo-free ``neighbours``."""
+    order, seen, k = [t], {t}, 0
+    while k < len(order):
+        for image in neighbours(order[k], dom, cod):
+            if image not in seen:
+                seen.add(image)
+                order.append(image)
+        k += 1
+    return order
+
+
+def test_memoized_closure_matches_memo_free_reference(graph_xa):
+    small = list(iter_types(4))
+    homsets = [(X, A, EMPTY_GRAPH) for X in small for A in small]
+    homsets += [(parse_type(X), parse_type(A), graph_xa)
+                for X, A in (("x*(0+1)", "a+1"), ("x+x", "a*a"), ("(x+1)*x", "a+1*a"))]
+    for X, A, graph in homsets:
+        for t in enumerate_terms(X, A, graph):
+            assert list(_closure(t, X, A, DEFAULT_GUARD)) == _reference_closure(t, X, A)
+    # after a closure, the public call still hands out a fresh list
+    x, t = parse_type("(1+1)*1"), parse_term("<?, ?>")
+    assert t in class_of(QUEST, ZERO, x)
+    images = neighbours(t, ZERO, x)
+    assert images == neighbours(t, ZERO, x) and images is not neighbours(t, ZERO, x)
 
 
 def test_find_bouncers_trivial():

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import accumulate, islice, repeat
 
 from .graph import Edge, GeneratorGraph, EMPTY_GRAPH, InputError
 from .terms import (
@@ -60,7 +60,22 @@ _KEYWORDS = {"term", "graph", "node", "edge", "id"}
 _TERM_WORDS = {"p0", "p1", "s0", "s1", "id"}
 _TERM_START = _TERM_WORDS | {"!", "?", "<", "{", "(", "@"}
 _PREFIXES = {"p0": (Proj, 0), "p1": (Proj, 1), "s0": (Inj, 0), "s1": (Inj, 1)}
-_BRACKETS = {"<": (">", Tuple), "{": ("}", Cotuple)}
+_GROUPS = {"(": (")", None), "<": (">", Tuple), "{": ("}", Cotuple)}  # open: close, node
+_NEST = {"(": 1, "<": 1, "{": 1, ")": -1, ">": -1, "}": -1}
+# Groups of fewer tokens are read again: keying one and looking it up
+# costs about as much as reading it.
+_LONG = 16
+
+
+def _depths(toks: list[str], k: int) -> bytes:
+    """The bracket depth before each token from ``toks[k]`` on and after
+    the last, counted from 128, modulo 256."""
+    def depths():
+        return accumulate(map(_NEST.get, islice(toks, k, None), repeat(0)), initial=128)
+    try:
+        return bytes(depths())
+    except ValueError:  # 128 levels deeper or 129 shallower than at k
+        return bytes(map((255).__and__, depths()))
 
 
 @dataclass
@@ -82,11 +97,18 @@ class Module:
 
 
 class _Parser:
-    """Recursive descent over ``toks``, the token strings of ``text``,
-    which end with ``""`` for end of input.  ``i`` is the index of the next
-    token; a position is a token index until an error needs its line and
-    column.  Only brackets and parentheses recurse: operator and prefix
-    chains are loops."""
+    """Descent over ``toks``, the token strings of ``text``, which end with
+    ``""`` for end of input.  ``i`` is the index of the next token; a
+    position is a token index until an error needs its line and column.
+
+    Types and terms are each read by one loop over an explicit stack, so
+    no rule recurses on brackets.  Each loop keeps a memo of the bracket
+    groups of at least ``_LONG`` tokens it has read, keyed by their text:
+    the parse of a group depends only on its tokens (and on ``graph``,
+    fixed while terms are read), so a group equal to one read before is
+    the same interned node and is skipped.  Only groups that parsed are
+    stored, so every error comes from a first reading.  The memos die
+    with the parser."""
 
     def __init__(self, text: str, graph: GeneratorGraph = EMPTY_GRAPH):
         self.text = text
@@ -97,6 +119,14 @@ class _Parser:
         if stray:
             k = min(map(self.toks.index, stray))
             raise self.error(f"unexpected character {self.toks[k]!r}", k)
+        # ``_depths`` of the tokens from ``base`` on
+        self.depth: bytes | None = None
+        self.base = 0
+        # per kind, the long groups read: text -> node, and size -> the
+        # (start, node) of the one group of that size not keyed by text
+        # yet, or () once it is
+        self.type_groups: tuple[dict, dict] = ({}, {})
+        self.term_groups: tuple[dict, dict] = ({}, {})
 
     # -- token plumbing -------------------------------------------------
     def peek(self) -> str:
@@ -110,9 +140,12 @@ class _Parser:
         return tok
 
     def expect(self, text: str) -> None:
-        found = self.next()
-        if found != text:
-            raise self.error(f"expected {text!r}, found {found or 'end of input'!r}")
+        if self.next() != text:
+            raise self.mismatch(text, self.i - 1)
+
+    def mismatch(self, text: str, k: int) -> ParseError:
+        """``text`` was expected at token ``k``."""
+        return self.error(f"expected {text!r}, found {self.toks[k] or 'end of input'!r}", k)
 
     def error(self, message: str, k: int | None = None) -> ParseError:
         """A ParseError at token ``k``, by default the last one read."""
@@ -129,79 +162,168 @@ class _Parser:
             raise self.error(f"trailing input after {what}", self.i)
         return result
 
+    # -- bracket groups -----------------------------------------------------
+    def recall(self, memo: tuple[dict, dict], k: int):
+        """The node of the group opened at token ``k`` if a group with its
+        text was read before; then ``i`` moves past it.  Else None.
+
+        The group is taken to end at the first later token after which
+        the depth is back to that before ``k``.  Depths are kept modulo
+        256, so a group 256 or more levels deep seems to end too early;
+        that text is unbalanced and matches no group read before.  A text
+        is joined only when a group of its size was read: the first one is
+        keyed only then."""
+        toks, depth, b = self.toks, self.depth, self.base
+        if depth is None:  # made on first use, from token ``base`` on
+            self.base = b = k
+            self.depth = depth = _depths(toks, k)
+        size = depth.find(depth[k - b], k - b + 1) + b - k  # < 1 if no end
+        texts, sizes = memo
+        first = sizes.get(size)
+        if first is None:
+            return None
+        if first:
+            s, node = first
+            texts[" ".join(toks[s:s + size])] = node
+            sizes[size] = ()
+        node = texts.get(" ".join(toks[k:k + size]))
+        if node is not None:
+            self.i = k + size
+        return node
+
+    def remember(self, memo: tuple[dict, dict], k: int, end: int, node) -> None:
+        """Store ``node``, read from tokens ``k`` to ``end - 1``."""
+        texts, sizes = memo
+        if end - k in sizes:
+            texts[" ".join(self.toks[k:end])] = node
+        else:
+            sizes[end - k] = (k, node)
+
     # -- types -----------------------------------------------------------
-    def chain(self, op: str, cls, operand):
-        """``operand (op operand)*``, folded to the right."""
-        items = [operand()]
-        while self.toks[self.i] == op:
-            self.i += 1
-            items.append(operand())
-        t = items.pop()
-        while items:
-            t = cls(items.pop(), t)
-        return t
-
     def type_(self) -> ObjectType:
-        return self.chain("+", Sum, self.prod)
-
-    def prod(self) -> ObjectType:
-        return self.chain("*", Prod, self.type_atom)
-
-    def type_atom(self) -> ObjectType:
-        tok = self.next()
-        if tok == "0":
-            return ZERO
-        if tok == "1":
-            return ONE
-        if tok == "(":
-            t = self.type_()
-            self.expect(")")
-            return t
-        if tok.isidentifier() and tok not in _KEYWORDS:
-            return Gen(tok)
-        raise self.error(f"expected a type, found {tok or 'end of input'!r}")
+        """``prod ('+' prod)*`` with ``prod = atom ('*' atom)*``, both
+        folded to the right; an atom is ``0``, ``1``, a generator or a
+        parenthesised type.  Each open parenthesis pushes the sums and
+        products read around it."""
+        toks = self.toks
+        memo = self.type_groups
+        sizes = memo[1]
+        stack = []  # per open group: its start, and the sums and products around it
+        sums, prods = [], []
+        i = self.i
+        while True:
+            tok = toks[i]
+            i += 1
+            if tok == "(":
+                self.i = i
+                if not sizes or (t := self.recall(memo, i - 1)) is None:
+                    stack.append((i - 1, sums, prods))
+                    sums, prods = [], []
+                    continue
+                i = self.i
+            elif tok == "0":
+                t = ZERO
+            elif tok == "1":
+                t = ONE
+            elif tok.isidentifier() and tok not in _KEYWORDS:
+                t = Gen(tok)
+            else:
+                raise self.error(f"expected a type, found {tok or 'end of input'!r}", i - 1)
+            while True:  # t ends an operand: close what it ends
+                tok = toks[i]
+                if tok == "*":
+                    prods.append(t)
+                    i += 1
+                    break
+                while prods:
+                    t = Prod(prods.pop(), t)
+                if tok == "+":
+                    sums.append(t)
+                    i += 1
+                    break
+                while sums:
+                    t = Sum(sums.pop(), t)
+                if not stack:
+                    self.i = i
+                    return t
+                if tok != ")":
+                    raise self.mismatch(")", i)
+                k, sums, prods = stack.pop()
+                if i + 1 - k >= _LONG:
+                    self.remember(memo, k, i + 1, t)
+                i += 1
 
     # -- terms -----------------------------------------------------------
     def term(self) -> Term:
-        t = self.prefix_term()
-        while self.peek() == ";" and self.toks[self.i + 1] in _TERM_START:
-            self.next()
-            t = Cut(t, self.prefix_term())
-        return t
-
-    def prefix_term(self) -> Term:
-        prefixes = []
-        while self.peek() in _PREFIXES:
-            prefixes.append(_PREFIXES[self.next()])
-        t = self.atom_term()
-        for cls, index in reversed(prefixes):
-            t = cls(index, t)
-        return t
-
-    def atom_term(self) -> Term:
-        tok = self.next()
-        match tok:
-            case "!":
-                return BANG
-            case "?":
-                return QUEST
-            case "<" | "{":
-                close, cls = _BRACKETS[tok]
-                left = self.term()
-                self.expect(",")
-                right = self.term()
-                self.expect(close)
-                return cls(left, right)
-            case "(":
-                t = self.term()
-                self.expect(")")
-                return t
-            case "id":
-                self.expect(":")
-                return Id(self.type_())
-            case "@":
-                return self.gen_path(self.i - 1)
-        raise self.error(f"expected a term, found {tok or 'end of input'!r}")
+        """``prefixed (';' prefixed)*``, cuts folded to the left, with
+        ``prefixed = (p0|p1|s0|s1)* atom``; an atom is ``!``, ``?``,
+        ``id:type``, ``@path``, or a term in parentheses, or two in
+        ``< , >`` or ``{ , }``.  Each open group pushes the cut and the
+        prefixes around it; groups are looked up as in ``type_``."""
+        toks = self.toks
+        memo = self.term_groups
+        sizes = memo[1]
+        stack = []  # per open group: its start, the cut and prefixes around it, its left term
+        cut, prefixes = None, []
+        i = self.i
+        while True:
+            while toks[i] in _PREFIXES:
+                prefixes.append(_PREFIXES[toks[i]])
+                i += 1
+            tok = toks[i]
+            i += 1
+            if tok in _GROUPS:
+                self.i = i
+                if not sizes or (t := self.recall(memo, i - 1)) is None:
+                    stack.append((i - 1, cut, prefixes, None))
+                    cut, prefixes = None, []
+                    continue
+                i = self.i
+            elif tok == "!":
+                t = BANG
+            elif tok == "?":
+                t = QUEST
+            elif tok == "id":
+                if toks[i] != ":":
+                    raise self.mismatch(":", i)
+                self.i = i + 1
+                t = Id(self.type_())
+                i = self.i
+            elif tok == "@":
+                self.i = i
+                t = self.gen_path(i - 1)
+                i = self.i
+            else:
+                raise self.error(f"expected a term, found {tok or 'end of input'!r}", i - 1)
+            while True:  # t ends a prefixed term: close what it ends
+                while prefixes:
+                    cls, index = prefixes.pop()
+                    t = cls(index, t)
+                cut = t if cut is None else Cut(cut, t)
+                tok = toks[i]
+                if tok == ";" and toks[i + 1] in _TERM_START:
+                    i += 1
+                    break
+                if not stack:
+                    self.i = i
+                    return cut
+                k, outer, around, left = stack[-1]
+                close, cls = _GROUPS[toks[k]]
+                if cls is not None and left is None:  # the left term of a pair
+                    if tok != ",":
+                        raise self.mismatch(",", i)
+                    stack[-1] = (k, outer, around, cut)
+                    cut = None
+                    i += 1
+                    break
+                if tok != close:
+                    raise self.mismatch(close, i)
+                stack.pop()
+                t = cut if cls is None else cls(left, cut)
+                if i + 1 - k >= _LONG:
+                    self.remember(memo, k, i + 1, t)
+                cut, prefixes = outer, around
+                i += 1
 
     def gen_path(self, at: int) -> Term:
         names = [self.ident("generator path")]

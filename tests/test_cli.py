@@ -147,8 +147,9 @@ def test_bench_csv(tmp_path, capsys):
 
 
 def test_internal_error_exit_code(tmp_path, capsys):
-    # legal input nested deeper than the recursive parser reaches: the
-    # failure must not surface under the NotEqual code 1
+    # legal input nested deeper than the layers after the parser, which
+    # still recurse, reach: the failure must not surface under the
+    # NotEqual code 1
     deep = "1"
     for _ in range(2000):
         deep = f"({deep}*1)"

@@ -20,6 +20,9 @@ from sigmapi import (
     parse_term,
     parse_type,
 )
+from sigmapi.bench import balanced_type, mirror
+from sigmapi.compose import identity
+from sigmapi.syntax import _Parser
 from sigmapi.terms import QUEST, Cut, Id, Quest
 from sigmapi.types import ONE, ZERO
 
@@ -30,6 +33,7 @@ def test_parse_type_precedence():
     assert parse_type("1+1+0") == ONE + (ONE + ZERO)
     assert parse_type("1*1*0") == ONE * (ONE * ZERO)
     assert parse_type("(1+1)*0") == (ONE + ONE) * ZERO
+    assert parse_type("(x)") is Gen("x")
 
 
 def test_parse_term_examples():
@@ -93,6 +97,9 @@ def test_format_type_roundtrip_nested():
 
 
 _GRAPH = "graph { node x; node y; edge k : x -> y; }\n"
+# groups of 17 tokens, long enough for the parser to keep
+_PAIR = "<<p0 !, p1 !>, <s0 ?, s1 ?>>"
+_TYPE = "(x * x * x * x * x * x * x * x)"
 
 
 @pytest.mark.parametrize("parse, text, message, line, col", [
@@ -122,11 +129,24 @@ _GRAPH = "graph { node x; node y; edge k : x -> y; }\n"
     (parse_type, "1 +   ", "expected a type, found 'end of input'", 1, 7),
     (parse_term, "p0 (! ; id:1", "expected ')', found 'end of input'", 1, 13),
     (parse_term, "s0 <p1 (!, !>", "expected ')', found ','", 1, 10),
+    (parse_term, "<<!, !>, <!, !!>>", "expected '>', found '!'", 1, 15),
+    (parse_term, "<<!, !>, <!, !>> !", "trailing input after term", 1, 18),
+    (parse_term, "(x)", "expected a term, found 'x'", 1, 2),
+    (parse_term, f"<{_PAIR}, <<p0 !, p1 !>, <s0 ?, s1 ? ?>>>", "expected '>', found '?'", 1, 59),
+    (parse_term, f"<{_PAIR}, {_PAIR[:-1]})>", "expected '>', found ')'", 1, 59),
+    (parse_term, f"<{_PAIR}, {_PAIR}> !", "trailing input after term", 1, 62),
+    (parse_term, f"<{_PAIR}, {_PAIR}, !>", "expected '>', found ','", 1, 60),
+    (parse_term, f"{{{_PAIR}, p0 ({_PAIR}", "expected ')', found 'end of input'", 1, 64),
+    (parse_module, f"graph {{ node x; }}\nterm a : {_TYPE} -> {_TYPE} = {_TYPE} ;",
+     "expected a term, found 'x'", 2, 80),
 ], ids=["stray-character", "stray-after-comment", "eof-in-type", "eof-in-term", "eof-in-edge",
         "eof-in-graph", "reserved-name", "duplicate-term", "duplicate-edge", "node-with-path",
         "unknown-edge", "missing-arrow", "trailing-type", "trailing-term", "undeclared-node",
         "node-edge-clash", "keyword-node", "keyword-node-term", "eof-after-comment",
-        "eof-after-space", "eof-in-parens", "comma-in-parens"])
+        "eof-after-space", "eof-in-parens", "comma-in-parens", "near-repeat", "repeat-then-trailing",
+        "type-group-as-term", "near-long-repeat", "same-size-near-long-repeat",
+        "long-repeat-then-trailing", "long-repeat-then-comma", "long-repeat-then-end",
+        "long-type-group-as-term"])
 def test_parse_error_message_and_position(parse, text, message, line, col):
     with pytest.raises(ParseError) as err:
         parse(text)
@@ -155,6 +175,42 @@ def test_long_chains_parse(parse, text, kinds, child, leaf):
     while isinstance(t, kinds):  # walked in a loop: the chain is deeper than the stack
         t, depth = getattr(t, child), depth + 1
     assert (depth, t) == (5000, leaf)
+
+
+def test_long_repeated_group_is_recalled():
+    p = _Parser(f"<{_PAIR}, {_PAIR}>")
+    t = p.whole(p.term, "term")
+    assert t.left is t.right is parse_term(_PAIR)
+    assert p.term_groups[0] == {" ".join(p.toks[1:18]): t.left}  # keyed when it repeated
+
+
+DEEP = 100_000
+
+
+@pytest.mark.parametrize("parse, text, child, depth, leaf", [
+    (parse_type, f"{_TYPE} * " + "(" * DEEP + "x" + ")" * DEEP, None, 0, Gen("x")),
+    (parse_term, f"<{_PAIR}, " + "(" * DEEP + "!" + ")" * DEEP + ">", None, 0, BANG),
+    (parse_term, f"<{_PAIR}, " + "<" * DEEP + "!" + ", ?>" * DEEP + ">", "left", DEEP, BANG),
+    (parse_term, f"<{_PAIR}, " + "{" * DEEP + "?" + ", !}" * DEEP + ">", "left", DEEP, QUEST),
+    (parse_term, f"<id:{_TYPE}, id:" + "(" * DEEP + "1" + ")" * DEEP + ">", None, 0, Id(ONE)),
+], ids=["type-parens", "term-parens", "tuple", "cotuple", "id-parens"])
+def test_deep_brackets_parse(parse, text, child, depth, leaf):
+    # brackets are read by loops.  After a group long enough to keep, each
+    # open bracket looks for its end at most 256 levels down; looking to
+    # the true end would make these texts quadratic to read
+    t, seen = parse(text).right, 0
+    while child and isinstance(t, (Tuple, Cotuple)):
+        t, seen = getattr(t, child), seen + 1
+    assert (seen, t) == (depth, leaf)
+
+
+@pytest.mark.parametrize("height", range(2, 15))
+def test_balanced_family_round_trips(height):
+    # nearly every bracket group of these texts repeats an earlier one
+    x = balanced_type(height)
+    assert parse_type(format_type(x)) is x
+    for t in (identity(x), mirror(x)):
+        assert parse_term(format_term(t)) is t
 
 
 _G = make_graph(["x", "y"], [("k", "x", "y")])

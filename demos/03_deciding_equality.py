@@ -2,10 +2,12 @@
 
 Two cut-free terms denote the same arrow exactly when the permuting
 conversions relate them.  Instead of exploring that exponential closure,
-`equal` recurses on the typing: decompose sum domains and product
-codomains, compare indefinite maps through their point/copoint
-witnesses, and resolve definite maps through their factorizations, with
-a trivial-bouncer step for the mixed projection/injection case.
+`equal` computes each term's normal form, one chosen member of its class,
+by recursion on the typing: decompose sum domains and product codomains,
+replace indefinite maps by their canonical point/copoint witnesses, and
+keep one factorization of each definite map.  The terms are equal exactly
+when the normal forms are the same term; otherwise the verdict names the
+first position where they differ.
 """
 
 from sigmapi import Stats, annotate, equal, parse_term, parse_type, same_class
@@ -36,7 +38,8 @@ decide("p0 s0 {s0 !, s1 !}", "s0 p0 {s0 !, s1 !}", "(1+1)*1", "(1+1)+0")
 decide("s0 !", "s1 !", "1*1", "1+1")
 decide("p0 s0 !", "s0 p0 !", "1*1", "1+1")
 
-# a definite pair in mixed corners where the required lift fails
+# a definite pair in mixed corners: both normal forms keep s1, and their
+# bodies first differ in a corner of component 0
 decide("s1 <p0 ?, p1 p0 ?>", "p1 s1 <p0 ?, p1 ?>", "0*0*0", "0+0*0")
 
 # reflexivity is cheap at any size

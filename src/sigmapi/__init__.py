@@ -76,6 +76,7 @@ from .decide import (
     Verdict,
     Witness,
     equal,
+    normal_form,
 )
 from .oracle import (
     CardinalPath,

@@ -4,7 +4,8 @@ Balanced types: full binary trees of height ``h`` alternating products
 and sums, with ``1`` at the leaves.  The canonical term pairs compared
 are the expanded identity against itself and against the "mirror"
 automorphism that swaps both branches at every level; with sums present
-both are definite maps, so the pairs drive the full decision recursion.
+both are definite maps.  ``equal`` normalises both identities whole, but
+the mirror only up to where its normal form first differs.
 """
 
 from __future__ import annotations

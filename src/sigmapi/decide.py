@@ -1,16 +1,12 @@
 """Polynomial-time equality of parallel cut-free terms (generator-free).
 
-``equal(f, g, stats=None)`` is the one entry point.  It recurses on the
-typing: singleton homsets are immediate, sum domains and product
-codomains decompose componentwise, points and copoints compare
-syntactically, indefinite maps compare through their witnesses, and
-definite maps between a product and a sum are resolved through their
-four possible factorizations, the mixed projection-versus-injection
-case by a trivial-bouncer search.  An ``Equal`` verdict names the rule
-that decided it as ``kind``.
-
-Terms whose domain or codomain mention generator objects are answered
-``RequiresOracle``; only the exponential oracle decides those.
+``normal_form(f)`` chooses one term per equivalence class, recursing on
+the typing, and ``equal(f, g, stats=None)`` answers ``Equal`` exactly when
+the normal forms of ``f`` and ``g`` are the same interned term.  An
+``Equal`` verdict names the rule at the root as ``kind``; a ``NotEqual``
+names the first position where the normal forms differ.  Types that
+mention generator objects are answered ``RequiresOracle``; only the
+exponential oracle decides those.
 """
 
 from __future__ import annotations
@@ -24,6 +20,7 @@ from .annotate import (
     ann_pair,
     ann_unary,
     ann_unit,
+    disconnect,
     type_pointed,
 )
 from .factor import factor
@@ -95,10 +92,10 @@ MISMATCH = ("point-mismatch", "copoint-mismatch")
 class Stats:
     """Work of the decisions it was passed to.
 
-    ``calls`` and ``counter`` count the recursion as a tree, as if no
-    subproblem were shared; ``dag_calls`` counts the distinct subproblems
-    actually decided.  ``memo`` maps each subproblem to its verdict and
-    cost; it exists only while ``equal`` runs.
+    ``calls`` and ``counter`` count the normalisation as a tree, as if no
+    subterm were shared; ``dag_calls`` counts the distinct
+    ``(term, dom, cod)`` actually normalised.  ``memo`` maps each of them
+    to its normal form and cost; it exists only while a call runs.
     """
 
     calls: int = 0
@@ -135,97 +132,73 @@ def restrict(s: int, f: AnnotatedTerm, k: int,
     raise ValueError(f"restrict: unexpected shape {t!r}")
 
 
-# -- the decision procedure --------------------------------------------------
+# -- normal forms -------------------------------------------------------------
 
-def equal(f: AnnotatedTerm, g: AnnotatedTerm, stats: Optional[Stats] = None) -> Verdict:
-    """Decide whether two parallel annotated cut-free terms denote the
-    same arrow.  Generator-free only; see the oracle otherwise."""
-    if f.dom != g.dom or f.cod != g.cod:
-        raise ValueError("equal: terms are not parallel")
+def normal_form(f: AnnotatedTerm) -> Term:
+    """The chosen member of the class of ``f`` (generator-free)."""
     if contains_gen(f.dom) or contains_gen(f.cod):
-        return RequiresOracle()
-    stats = stats if stats is not None else Stats()
+        raise ValueError("normal_form: generator objects present; see the oracle")
+    stats = Stats()
     stats.memo = {}
-    try:
-        return _equal(f, g, stats)
-    finally:
-        stats.dag_calls += len(stats.memo)
-        stats.memo = None
+    return _normal_form(f, stats)
 
 
-def _equal(f: AnnotatedTerm, g: AnnotatedTerm, stats: Stats) -> Verdict:
-    # The verdict and its cost depend only on the key, so a repeated key
-    # replays both: ``calls`` and visits keep counting the tree.  One exit,
-    # so the memo costs no stack frame per level.
-    key = (f.term, g.term, f.dom, f.cod)
+class _Differs(Exception):
+    """A normal form is not the one it was computed against."""
+
+
+def _normal_form(f: AnnotatedTerm, stats: Stats, like: Optional[Term] = None) -> Term:
+    """The normal form of ``f``.  Given ``like``, the normal form of a
+    parallel term, raise ``_Differs`` where the two first differ."""
+    # A repeated key replays its normal form and cost, so ``calls`` and
+    # visits keep counting the tree; an entry unlike ``like`` is worked
+    # out again, as it would be without the memo.  The memo is read
+    # inline, so it costs no stack frame per level.
+    key = (f.term, f.dom, f.cod)
     done = stats.memo.get(key)
-    if done is not None:
-        v, calls, visits = done
-        stats.calls += calls
-        stats.counter.visits += visits
-        return v
-    calls, visits = stats.calls, stats.counter.visits
-    stats.calls += 1
-    fw, gw = f.ann, g.ann
-
-    if f.dom is ZERO or f.cod is ONE:
-        # singleton homsets
-        v = Equal()
-    elif isinstance(f.dom, Sum) or isinstance(f.cod, Prod):
-        # componentwise decomposition: domain sums first, then codomain products
-        s = COPOINT if isinstance(f.dom, Sum) else POINT
-        v = Equal(SyntacticRecursion())
-        for k in (0, 1):
-            c = _equal(restrict(s, f, k, stats.counter),
-                       restrict(s, g, k, stats.counter), stats)
-            if not isinstance(c, Equal):
-                v = NotEqual(f"component {k}: {c.reason}")
-                break
-    elif f.dom is ONE or f.cod is ZERO:
-        # points: maps out of 1 are injections, and injections of points
-        # are monic (a cross-injection identification would need a
-        # copoint of 1); copoints dually
-        s = POINT if f.dom is ONE else COPOINT
-        ft, gt = f.term, g.term
-        assert type(ft) is UNARY[s] and type(gt) is UNARY[s]
-        if ft.index != gt.index:
-            v = NotEqual("corner-mismatch")
-        else:
-            v = _equal(f.children[0], g.children[0], stats)
-    # from here on the domain is a product and the codomain a sum
-    elif fw.is_disconnect or gw.is_disconnect:
-        # indefinite maps; beside a disconnect, every (co)pointed map is the disconnect
-        if fw.is_disconnect and gw.is_disconnect:
-            v = Equal(Disconnect(f.term))
-        else:
-            v = NotEqual("disconnect-mismatch")
-    elif not (fw.definite and gw.definite):
-        # just-pointed maps ``! ; pt`` are equal exactly when their points
-        # are; a canonical witness is the only term of its class, and terms
-        # are interned, so the points are equal exactly when they are the
-        # same object.  Copoints dually.
-        s = POINT if fw[POINT] is not None or gw[POINT] is not None else COPOINT
-        if fw[s] is not None and fw[s] is gw[s]:
-            v = Equal(SHARED[s](fw[s]))
-        else:
-            v = NotEqual(MISMATCH[s])
+    if done is not None and (like is None or done[0] is like):
+        stats.calls += done[1]
+        stats.counter.visits += done[2]
+        n = done[0]
     else:
-        # definite maps: resolve through the four factorizations
-        f_inj, g_inj = _factor(POINT, f, stats), _factor(POINT, g, stats)
-        f_proj, g_proj = _factor(COPOINT, f, stats), _factor(COPOINT, g, stats)
-        if f_inj is not None and g_proj is not None:
-            v = _equivalent((f_inj, g_proj), stats)
-        elif g_inj is not None and f_proj is not None:
-            v = _equivalent((g_inj, f_proj), stats)
+        calls, visits = stats.calls, stats.counter.visits
+        stats.calls += 1
+        dom, cod, w = f.dom, f.cod, f.ann
+        kept = None
+        if dom is ZERO or cod is ONE:
+            # singleton homsets
+            n = UNIT[POINT if cod is ONE else COPOINT]
+        elif isinstance(dom, Sum) or isinstance(cod, Prod):
+            # componentwise: domain sums first, then codomain products
+            s = COPOINT if isinstance(dom, Sum) else POINT
+            n = PAIR[s](
+                _normal_form(restrict(s, f, 0, stats.counter), stats, like and like.left),
+                _normal_form(restrict(s, f, 1, stats.counter), stats, like and like.right))
+        elif dom is ONE or cod is ZERO:
+            # points: maps out of 1 are injections, and injections of points
+            # are monic (a cross-injection identification would need a
+            # copoint of 1); copoints dually
+            s, k = (POINT if dom is ONE else COPOINT), f.term.index
+            if like is not None and like.index != k:
+                raise _Differs
+            n = UNARY[s](k, _normal_form(f.children[0], stats, like and like.body))
+        # from here on the domain is a product and the codomain a sum
+        elif w[POINT] is not None and w[COPOINT] is not None:
+            n = disconnect(dom, cod)
+        elif w[POINT] is not None or w[COPOINT] is not None:
+            # a just-pointed map ``! ; pt`` is its canonical point, the one
+            # term of its class; copoints dually
+            n = w[POINT] or w[COPOINT]
         else:
-            v = NotEqual("corner-mismatch")
-            for fk, gk in ((f_inj, g_inj), (f_proj, g_proj)):
-                if fk is not None and gk is not None and fk[0] == gk[0]:
-                    c = _equal(fk[1], gk[1], stats)
-                    v = Equal(SyntacticRecursion()) if isinstance(c, Equal) else c
-                    break
-    stats.memo[key] = (v, stats.calls - calls, stats.counter.visits - visits)
-    return v
+            # a definite map keeps one of its factors, and so does the memo
+            kept = s, k, low = _kept(f, stats)
+            if like is not None and (type(like) is not UNARY[s] or like.index != k):
+                raise _Differs
+            n = UNARY[s](k, _normal_form(low, stats, like and like.body))
+        stats.memo[key] = (n, stats.calls - calls, stats.counter.visits - visits, kept)
+    if like is not None and n is not like:
+        raise _Differs
+    return n
 
 
 def _factor(s: int, f: AnnotatedTerm, stats: Stats) -> Optional[tuple[int, AnnotatedTerm]]:
@@ -237,27 +210,94 @@ def _factor(s: int, f: AnnotatedTerm, stats: Stats) -> Optional[tuple[int, Annot
     return None
 
 
-def _equivalent(factors, stats: Stats) -> Verdict:
-    """Decide ``s_j f_low == p_i g_high`` for definite corner terms, given
-    ``factors = ((j, f_low), (i, g_high))``, indexed by side.
+def _kept(f: AnnotatedTerm, stats: Stats) -> tuple[int, int, AnnotatedTerm]:
+    """The side, index and factor that the normal form of a definite map
+    keeps: ``s_j`` when it is class-injective (``A_j`` pointed or
+    ``A_{1-j}`` not, criterion 6) or the only factor, else ``p_i``, which
+    is then epic (``A_j`` is copointed, as every generator-free type is
+    pointed or copointed)."""
+    inj = _factor(POINT, f, stats)
+    if inj is not None and (type_pointed(f.cod.component(inj[0]))
+                            or not type_pointed(f.cod.component(1 - inj[0]))):
+        return (POINT, *inj)
+    proj = _factor(COPOINT, f, stats)
+    return (POINT, *inj) if proj is None else (COPOINT, *proj)
 
-    There is a mediating ``h : X_i -> A_j`` with ``p_i h == f_low`` and
-    ``s_j h == g_high`` exactly when the two sides are equal; in the
-    generator-free calculus the bouncer is trivial: when ``A_j`` is
-    pointed ``s_j`` is monic and ``h`` must be the injection factor of
-    the ``g`` side, otherwise ``A_j`` is copointed, ``p_i`` is epic and
-    ``h`` must be the projection factor of the ``f`` side.
-    """
-    stats.calls += 1
-    f_low = factors[POINT][1]
-    assert isinstance(f_low.dom, Prod) and isinstance(factors[COPOINT][1].cod, Sum)
-    s = POINT if type_pointed(f_low.cod) else COPOINT
-    o = 1 - s
-    (k_s, low_s), (k_o, low_o) = factors[s], factors[o]
-    h = factor(s, low_o, k_s, stats.counter)
-    if h is None:
-        return NotEqual("lift-failure")
-    v = _equal(ann_unary(o, k_o, h, low_s.end(s)), low_s, stats)
-    if isinstance(v, Equal):
-        return Equal(Bouncer(h.term))
-    return v
+
+# -- the decision procedure --------------------------------------------------
+
+def equal(f: AnnotatedTerm, g: AnnotatedTerm, stats: Optional[Stats] = None) -> Verdict:
+    """Decide whether two parallel annotated cut-free terms denote the
+    same arrow: whether their normal forms are the same term.
+    Generator-free only; see the oracle otherwise."""
+    if f.dom != g.dom or f.cod != g.cod:
+        raise ValueError("equal: terms are not parallel")
+    if contains_gen(f.dom) or contains_gen(f.cod):
+        return RequiresOracle()
+    stats = stats if stats is not None else Stats()
+    stats.memo = {}
+    try:
+        try:
+            _normal_form(g, stats, _normal_form(f, stats))
+            same = True
+        except _Differs:
+            same = False
+        return _explain(f, g, same, stats)
+    finally:
+        stats.dag_calls += len(stats.memo)
+        stats.memo = None
+
+
+def _explain(f: AnnotatedTerm, g: AnnotatedTerm, same: bool, stats: Stats) -> Verdict:
+    """The rule at the root, below any points, when the normal forms are
+    the same; else the reason at the first position where they differ.
+    ``g`` was normalised against ``f``, so it has no memo entry at that
+    position's ancestors, and the same normal form as ``f`` in each
+    component before it."""
+    memo, where = stats.memo, ""
+    while True:
+        n, _, _, fkept = memo[f.term, f.dom, f.cod]
+        dom, cod, fw, gw = f.dom, f.cod, f.ann, g.ann
+        if dom is ZERO or cod is ONE:
+            return Equal()
+        if isinstance(dom, Sum) or isinstance(cod, Prod):
+            if same:
+                return Equal(SyntacticRecursion())
+            s = COPOINT if isinstance(dom, Sum) else POINT
+            g0 = restrict(s, g, 0, stats.counter)
+            done = memo.get((g0.term, g0.dom, g0.cod))
+            k = 0 if done is None or done[0] is not n.left else 1
+            where += f"component {k}: "
+            f, g = restrict(s, f, k, stats.counter), g0 if k == 0 else restrict(s, g, 1, stats.counter)
+        elif dom is ONE or cod is ZERO:
+            if n.index != g.term.index:
+                return NotEqual(where + "corner-mismatch")
+            f, g = f.children[0], g.children[0]
+        elif fw.is_disconnect or gw.is_disconnect:
+            # beside a disconnect, every (co)pointed map is the disconnect
+            return Equal(Disconnect(f.term)) if same else NotEqual(where + "disconnect-mismatch")
+        elif not (fw.definite and gw.definite):
+            s = POINT if fw[POINT] is not None or gw[POINT] is not None else COPOINT
+            return Equal(SHARED[s](fw[s])) if same else NotEqual(where + MISMATCH[s])
+        elif same:
+            return Equal(_bouncer(f, g, stats))
+        else:
+            gdone = memo.get((g.term, g.dom, g.cod))
+            s, k, low = gdone[3] if gdone else _kept(g, stats)
+            if type(n) is not UNARY[s] or n.index != k:
+                return NotEqual(where + "corner-mismatch")
+            f, g = fkept[2], low
+
+
+def _bouncer(f: AnnotatedTerm, g: AnnotatedTerm, stats: Stats) -> Witness:
+    """The rule that equates two definite maps: ``s_j f_low == p_i g_high``
+    through the bouncer ``h : X_i -> A_j``, the injection factor of
+    ``g_high`` when ``A_j`` is pointed (``s_j`` is monic), else the
+    projection factor of ``f_low`` (``p_i`` is epic)."""
+    for a, b in ((f, g), (g, f)):
+        inj, proj = _factor(POINT, a, stats), _factor(COPOINT, b, stats)
+        if inj is not None and proj is not None:
+            s = POINT if type_pointed(inj[1].cod) else COPOINT
+            (k, _), (_, low) = (inj, proj) if s == POINT else (proj, inj)
+            return Bouncer(factor(s, low, k, stats.counter).term)
+    return SyntacticRecursion()  # both factor on the same side only

@@ -227,10 +227,14 @@ def _check(t: Term, dom: ObjectType, cod: ObjectType, graph: GeneratorGraph,
             if dom is not ZERO:
                 raise TypingError("'?' needs domain 0", path, ZERO, dom)
         case Proj(i, body):
+            if i not in (0, 1):
+                raise TypingError(f"p{i}: a projection index is 0 or 1", path, found=dom)
             if not isinstance(dom, Prod):
                 raise TypingError(f"p{i} needs a product domain", path, found=dom)
             _check(body, dom.component(i), cod, graph, path + (0,), ok)
         case Inj(j, body):
+            if j not in (0, 1):
+                raise TypingError(f"s{j}: an injection index is 0 or 1", path, found=cod)
             if not isinstance(cod, Sum):
                 raise TypingError(f"s{j} needs a sum codomain", path, found=cod)
             _check(body, dom, cod.component(j), graph, path + (0,), ok)

@@ -1,5 +1,7 @@
 import itertools
 
+import pytest
+
 from sigmapi import (
     Bouncer,
     Cotuple,
@@ -17,10 +19,13 @@ from sigmapi import (
     enumerate_terms,
     equal,
     iter_types,
+    normal_form,
     parse_term,
     parse_type,
     same_class,
 )
+from sigmapi.bench import balanced_type
+from sigmapi.compose import identity
 from sigmapi.types import ZERO
 from sigmapi.oracle import homset_classes
 
@@ -76,10 +81,11 @@ def test_commutation_gives_bouncer():
 def test_lift_failure_regression():
     # frozen from an exhaustive search over small squares: both terms are
     # definite, f factors only through s1, g also factors through p1, and
-    # the required lift of the g side fails
+    # no lift of the g side through s1 exists.  Both normal forms keep s1,
+    # and below it they first differ in the corner of component 0.
     f, g = _pair("s1 <p0 ?, p1 p0 ?>", "p1 s1 <p0 ?, p1 ?>", "0*0*0", "0+0*0")
     v = equal(f, g)
-    assert v == NotEqual("lift-failure")
+    assert v == NotEqual("component 0: corner-mismatch")
     assert not same_class(f.term, g.term, parse_type("0*0*0"), parse_type("0+0*0"))
 
 
@@ -215,3 +221,36 @@ def test_disconnect_witness_rechecks():
     assert isinstance(v.witness, Disconnect)
     w = annotate(v.witness.term, parse_type("0*0"), parse_type("0+1"))
     assert w.ann.pointed and w.ann.copointed
+
+
+def test_normal_form_picks_one_member_per_class():
+    """Over ``iter_types(5)`` squared, each enumerated term's normal form
+    lies in its own class, every enumerated member of a class gets the
+    same one, and a normal form is its own normal form."""
+    classes = 0
+    for X in iter_types(5):
+        for A in iter_types(5):
+            terms = enumerate_terms(X, A)
+            if not terms:
+                continue
+            _, index = homset_classes(X, A)
+            chosen = {}
+            for t in terms:
+                nf = normal_form(annotate(t, X, A))
+                assert index.get(nf) == index[t], (t, nf, X, A)
+                assert chosen.setdefault(index[t], nf) is nf, (t, nf, X, A)
+            for nf in chosen.values():
+                assert normal_form(annotate(nf, X, A)) is nf, (nf, X, A)
+            classes += len(chosen)
+    assert classes == 6573
+
+
+def test_balanced_identity_is_its_own_normal_form():
+    for h in range(2, 13):
+        x = balanced_type(h)
+        assert normal_form(annotate(identity(x), x, x)) is identity(x)
+
+
+def test_normal_form_rejects_generators():
+    with pytest.raises(ValueError):
+        normal_form(annotate(parse_term("!"), parse_type("x"), parse_type("1")))

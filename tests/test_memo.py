@@ -1,6 +1,7 @@
 """The per-call memos of ``infer``, ``eliminate``, ``annotate``,
-``equal`` and the oracle's class closure: no extra stack frame per term
-level, and counts that still measure the term tree."""
+``normal_form`` (shared by both terms of ``equal``) and the oracle's class
+closure: no extra stack frame per term level, and counts that still
+measure the term tree."""
 
 from sigmapi import (
     BANG,
@@ -14,6 +15,7 @@ from sigmapi import (
     eliminate,
     equal,
     infer,
+    normal_form,
     same_class,
     term_metrics,
 )
@@ -40,6 +42,7 @@ def test_memos_add_no_stack_frames():
     assert eliminate(raw) is t
     a = annotate(t, ONE, cod)
     assert a.ann.pointed
+    assert normal_form(a) is t
     assert isinstance(equal(a, annotate(t, ONE, cod)), Equal)
     # the closure's neighbour memo looks up inline, in ``neighbours``'s own
     # frame; the NotEqual pair closes the whole class of ``t``
@@ -49,10 +52,12 @@ def test_memos_add_no_stack_frames():
     assert class_of(t, ONE, cod).members == {t}
 
 
-# Stats.steps of run_bench(12), the same as with equal's memo lookup
-# removed: the counts keep their tree-size meaning.
-ID_ID_STEPS = {2: 7, 3: 59, 4: 55, 5: 359, 6: 343, 7: 1559, 8: 1495, 9: 6359,
-               10: 6103, 11: 25559, 12: 24535}
+# Stats.steps of run_bench(12), the same as with the normal form's memo
+# reads removed: the counts keep their tree-size meaning.
+ID_ID_STEPS = {2: 10, 3: 72, 4: 64, 5: 364, 6: 332, 7: 1532, 8: 1404, 9: 6204,
+               10: 5692, 11: 24892, 12: 22844}
+ID_MIRROR_STEPS = {2: 10, 3: 59, 4: 55, 5: 205, 6: 189, 7: 789, 8: 725, 9: 3125,
+                   10: 2869, 11: 12469, 12: 11445}
 
 
 def test_counts_keep_tree_size_semantics():
@@ -64,8 +69,7 @@ def test_counts_keep_tree_size_semantics():
 
     rows = run_bench(12)
     assert {r.height: r.steps for r in rows if r.pair == "id-id"} == ID_ID_STEPS
-    assert {r.height: r.steps for r in rows if r.pair == "id-mirror"} == (
-        {2: 7} | {h: 21 for h in range(3, 13)})
+    assert {r.height: r.steps for r in rows if r.pair == "id-mirror"} == ID_MIRROR_STEPS
 
 
 def test_stats_report_dag_work_and_drop_the_memo():

@@ -72,7 +72,14 @@ def test_infer_generators(graph_xa):
     (Id(ONE), ONE, parse_type("1+1"), "id at 1 (at root)", (), ONE, parse_type("1+1")),
     (GenArrow("a", ("k",)), Gen("x"), Gen("a"), "generator arrow starts at a (at root)",
      (), Gen("a"), Gen("x")),
-], ids=["proj", "inj", "nested", "tuple", "cotuple", "id", "generator-start"])
+    (Proj(2, BANG), parse_type("1*1"), ONE, "p2: a projection index is 0 or 1 (at root)",
+     (), None, parse_type("1*1")),
+    (Inj(-1, BANG), ONE, parse_type("1+1"), "s-1: an injection index is 0 or 1 (at root)",
+     (), None, parse_type("1+1")),
+    (Tuple(BANG, Proj(2, BANG)), parse_type("1*1"), parse_type("1*1"),
+     "p2: a projection index is 0 or 1 (at 1)", (1,), None, parse_type("1*1")),
+], ids=["proj", "inj", "nested", "tuple", "cotuple", "id", "generator-start",
+        "proj-index", "inj-index", "nested-index"])
 def test_typing_error_fields(term, dom, cod, message, location, expected, found, graph_xa):
     with pytest.raises(TypingError) as err:
         infer(term, dom, cod, graph_xa)

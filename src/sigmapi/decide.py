@@ -2,11 +2,13 @@
 
 ``normal_form(f)`` chooses one term per equivalence class, recursing on
 the typing, and ``equal(f, g, stats=None)`` answers ``Equal`` exactly when
-the normal forms of ``f`` and ``g`` are the same interned term.  An
-``Equal`` verdict names the rule at the root as ``kind``; a ``NotEqual``
-names the first position where the normal forms differ.  Types that
-mention generator objects are answered ``RequiresOracle``; only the
-exponential oracle decides those.
+the normal forms of ``f`` and ``g`` are the same interned term.  ``g`` is
+normalised against the memo entries of ``f``, so that one case analysis
+both decides and explains: where ``g`` first leaves the normal form of
+``f``, the reason is raised on the spot and becomes the ``NotEqual``
+verdict; otherwise the ``Equal`` verdict names the rule at the root as
+``kind``.  Types that mention generator objects are answered
+``RequiresOracle``; only the exponential oracle decides those.
 """
 
 from __future__ import annotations
@@ -95,7 +97,11 @@ class Stats:
     ``calls`` and ``counter`` count the normalisation as a tree, as if no
     subterm were shared; ``dag_calls`` counts the distinct
     ``(term, dom, cod)`` actually normalised.  ``memo`` maps each of them
-    to its normal form and cost; it exists only while a call runs.
+    to its entry ``(normal form, calls, visits, node, parts)``: the cost
+    of normalising it, the annotated term, and the entries of its two
+    components, the entry of the body under a point, or the kept side,
+    index and factor entry of a definite map (None otherwise).  It exists
+    only while a call runs.
     """
 
     calls: int = 0
@@ -110,15 +116,13 @@ class Stats:
 
 # -- componentwise decompositions (linear, annotation-maintaining) ----------
 
-def restrict(s: int, f: AnnotatedTerm, k: int,
-             counter: Optional[VisitCounter] = None) -> AnnotatedTerm:
+def restrict(s: int, f: AnnotatedTerm, k: int, counter: VisitCounter) -> AnnotatedTerm:
     """Cut-eliminated composite of ``f`` with the k-th codomain projection
     (``s = POINT``), or of the k-th domain injection with ``f``
     (``s = COPOINT``): the k-th branch of a pairing of side ``s``."""
     o = 1 - s
     assert isinstance(f.end(o), PAIR_TYPE[s])
-    if counter is not None:
-        counter.tick()
+    counter.tick()
     t = f.term
     if type(t) is PAIR[s]:
         return f.children[k]
@@ -140,65 +144,75 @@ def normal_form(f: AnnotatedTerm) -> Term:
         raise ValueError("normal_form: generator objects present; see the oracle")
     stats = Stats()
     stats.memo = {}
-    return _normal_form(f, stats)
+    return _normal_form(f, stats)[0]
 
 
 class _Differs(Exception):
-    """A normal form is not the one it was computed against."""
+    """A normal form is not the one it was computed against; ``reason``
+    names the first position where the two differ and why."""
+
+    def __init__(self, reason: str):
+        self.reason = reason
 
 
-def _normal_form(f: AnnotatedTerm, stats: Stats, like: Optional[Term] = None) -> Term:
-    """The normal form of ``f``.  Given ``like``, the normal form of a
-    parallel term, raise ``_Differs`` where the two first differ."""
-    # A repeated key replays its normal form and cost, so ``calls`` and
-    # visits keep counting the tree; an entry unlike ``like`` is worked
-    # out again, as it would be without the memo.  The memo is read
-    # inline, so it costs no stack frame per level.
+def _normal_form(f: AnnotatedTerm, stats: Stats, like: Optional[tuple] = None) -> tuple:
+    """The memo entry of ``f``.  Given ``like``, the entry of a parallel
+    term, raise ``_Differs`` where the two normal forms first differ."""
+    # A repeated key replays its entry and cost, so ``calls`` and visits
+    # keep counting the tree; an entry unlike ``like`` is worked out again,
+    # as it would be without the memo, to find where the two differ.  The
+    # memo is read inline, so it costs no stack frame per level.
     key = (f.term, f.dom, f.cod)
     done = stats.memo.get(key)
-    if done is not None and (like is None or done[0] is like):
+    if done is not None and (like is None or done[0] is like[0]):
         stats.calls += done[1]
         stats.counter.visits += done[2]
-        n = done[0]
+        return done
+    calls, visits = stats.calls, stats.counter.visits
+    stats.calls += 1
+    dom, cod, w = f.dom, f.cod, f.ann
+    parts = None
+    if dom is ZERO or cod is ONE:
+        # singleton homsets
+        n = UNIT[POINT if cod is ONE else COPOINT]
+    elif isinstance(dom, Sum) or isinstance(cod, Prod):
+        # componentwise: domain sums first, then codomain products
+        s, parts = (COPOINT if isinstance(dom, Sum) else POINT), []
+        for k in (0, 1):
+            try:
+                parts.append(_normal_form(restrict(s, f, k, stats.counter), stats,
+                                          like and like[4][k]))
+            except _Differs as d:
+                d.reason = f"component {k}: {d.reason}"
+                raise
+        n = PAIR[s](parts[0][0], parts[1][0])
+    elif dom is ONE or cod is ZERO:
+        # points: maps out of 1 are injections, and injections of points
+        # are monic (a cross-injection identification would need a
+        # copoint of 1); copoints dually
+        s, k = (POINT if dom is ONE else COPOINT), f.term.index
+        if like is not None and like[0].index != k:
+            raise _Differs("corner-mismatch")
+        parts = _normal_form(f.children[0], stats, like and like[4])
+        n = UNARY[s](k, parts[0])
+    # from here on the domain is a product and the codomain a sum
+    elif w.definite and (like is None or like[3].ann.definite):
+        # a definite map keeps one of its factors, and so does the memo
+        s, k, low = _kept(f, stats)
+        if like is not None and like[4][:2] != (s, k):
+            raise _Differs(_verdict(like[3], f, False, stats).reason)
+        parts = s, k, _normal_form(low, stats, like and like[4][2])
+        n = UNARY[s](k, parts[2][0])
     else:
-        calls, visits = stats.calls, stats.counter.visits
-        stats.calls += 1
-        dom, cod, w = f.dom, f.cod, f.ann
-        kept = None
-        if dom is ZERO or cod is ONE:
-            # singleton homsets
-            n = UNIT[POINT if cod is ONE else COPOINT]
-        elif isinstance(dom, Sum) or isinstance(cod, Prod):
-            # componentwise: domain sums first, then codomain products
-            s = COPOINT if isinstance(dom, Sum) else POINT
-            n = PAIR[s](
-                _normal_form(restrict(s, f, 0, stats.counter), stats, like and like.left),
-                _normal_form(restrict(s, f, 1, stats.counter), stats, like and like.right))
-        elif dom is ONE or cod is ZERO:
-            # points: maps out of 1 are injections, and injections of points
-            # are monic (a cross-injection identification would need a
-            # copoint of 1); copoints dually
-            s, k = (POINT if dom is ONE else COPOINT), f.term.index
-            if like is not None and like.index != k:
-                raise _Differs
-            n = UNARY[s](k, _normal_form(f.children[0], stats, like and like.body))
-        # from here on the domain is a product and the codomain a sum
-        elif w[POINT] is not None and w[COPOINT] is not None:
-            n = disconnect(dom, cod)
-        elif w[POINT] is not None or w[COPOINT] is not None:
-            # a just-pointed map ``! ; pt`` is its canonical point, the one
-            # term of its class; copoints dually
-            n = w[POINT] or w[COPOINT]
-        else:
-            # a definite map keeps one of its factors, and so does the memo
-            kept = s, k, low = _kept(f, stats)
-            if like is not None and (type(like) is not UNARY[s] or like.index != k):
-                raise _Differs
-            n = UNARY[s](k, _normal_form(low, stats, like and like.body))
-        stats.memo[key] = (n, stats.calls - calls, stats.counter.visits - visits, kept)
-    if like is not None and n is not like:
-        raise _Differs
-    return n
+        # a disconnect is the disconnect of its homset, and a just-pointed
+        # map ``! ; pt`` is its canonical point, the one term of its class;
+        # copoints dually.  A definite map beside an indefinite one gets
+        # None, which differs.
+        n = disconnect(dom, cod) if w.is_disconnect else w[POINT] or w[COPOINT]
+        if like is not None and n is not like[0]:
+            raise _Differs(_verdict(like[3], f, False, stats).reason)
+    entry = stats.memo[key] = (n, stats.calls - calls, stats.counter.visits - visits, f, parts)
+    return entry
 
 
 def _factor(s: int, f: AnnotatedTerm, stats: Stats) -> Optional[tuple[int, AnnotatedTerm]]:
@@ -237,56 +251,37 @@ def equal(f: AnnotatedTerm, g: AnnotatedTerm, stats: Optional[Stats] = None) -> 
     stats = stats if stats is not None else Stats()
     stats.memo = {}
     try:
+        fe = _normal_form(f, stats)
         try:
-            _normal_form(g, stats, _normal_form(f, stats))
-            same = True
-        except _Differs:
-            same = False
-        return _explain(f, g, same, stats)
+            ge = _normal_form(g, stats, fe)
+        except _Differs as d:
+            return NotEqual(d.reason)
+        # the rule at the root, below any points
+        while True:
+            f, g = fe[3], ge[3]
+            if f.dom is ZERO or f.cod is ONE:
+                return Equal()
+            if isinstance(f.dom, Sum) or isinstance(f.cod, Prod):
+                return Equal(SyntacticRecursion())
+            if f.dom is not ONE and f.cod is not ZERO:
+                return _verdict(f, g, True, stats)
+            fe, ge = fe[4], ge[4]
     finally:
         stats.dag_calls += len(stats.memo)
         stats.memo = None
 
 
-def _explain(f: AnnotatedTerm, g: AnnotatedTerm, same: bool, stats: Stats) -> Verdict:
-    """The rule at the root, below any points, when the normal forms are
-    the same; else the reason at the first position where they differ.
-    ``g`` was normalised against ``f``, so it has no memo entry at that
-    position's ancestors, and the same normal form as ``f`` in each
-    component before it."""
-    memo, where = stats.memo, ""
-    while True:
-        n, _, _, fkept = memo[f.term, f.dom, f.cod]
-        dom, cod, fw, gw = f.dom, f.cod, f.ann, g.ann
-        if dom is ZERO or cod is ONE:
-            return Equal()
-        if isinstance(dom, Sum) or isinstance(cod, Prod):
-            if same:
-                return Equal(SyntacticRecursion())
-            s = COPOINT if isinstance(dom, Sum) else POINT
-            g0 = restrict(s, g, 0, stats.counter)
-            done = memo.get((g0.term, g0.dom, g0.cod))
-            k = 0 if done is None or done[0] is not n.left else 1
-            where += f"component {k}: "
-            f, g = restrict(s, f, k, stats.counter), g0 if k == 0 else restrict(s, g, 1, stats.counter)
-        elif dom is ONE or cod is ZERO:
-            if n.index != g.term.index:
-                return NotEqual(where + "corner-mismatch")
-            f, g = f.children[0], g.children[0]
-        elif fw.is_disconnect or gw.is_disconnect:
-            # beside a disconnect, every (co)pointed map is the disconnect
-            return Equal(Disconnect(f.term)) if same else NotEqual(where + "disconnect-mismatch")
-        elif not (fw.definite and gw.definite):
-            s = POINT if fw[POINT] is not None or gw[POINT] is not None else COPOINT
-            return Equal(SHARED[s](fw[s])) if same else NotEqual(where + MISMATCH[s])
-        elif same:
-            return Equal(_bouncer(f, g, stats))
-        else:
-            gdone = memo.get((g.term, g.dom, g.cod))
-            s, k, low = gdone[3] if gdone else _kept(g, stats)
-            if type(n) is not UNARY[s] or n.index != k:
-                return NotEqual(where + "corner-mismatch")
-            f, g = fkept[2], low
+def _verdict(f: AnnotatedTerm, g: AnnotatedTerm, same: bool, stats: Stats) -> Verdict:
+    """The verdict at a position where both domains are products and both
+    codomains sums, given whether the normal forms there are the same."""
+    fw, gw = f.ann, g.ann
+    if fw.is_disconnect or gw.is_disconnect:
+        # beside a disconnect, every (co)pointed map is the disconnect
+        return Equal(Disconnect(f.term)) if same else NotEqual("disconnect-mismatch")
+    if not (fw.definite and gw.definite):
+        s = POINT if fw[POINT] is not None or gw[POINT] is not None else COPOINT
+        return Equal(SHARED[s](fw[s])) if same else NotEqual(MISMATCH[s])
+    return Equal(_bouncer(f, g, stats)) if same else NotEqual("corner-mismatch")
 
 
 def _bouncer(f: AnnotatedTerm, g: AnnotatedTerm, stats: Stats) -> Witness:

@@ -199,11 +199,15 @@ def enumerate_terms(dom: ObjectType, cod: ObjectType,
     out = _ENUM_CACHE.get(key)
     if out is None:
         out = _enumerate(dom, cod, graph, guard)
-        if len(out) > guard:
-            raise GuardExceeded(
-                f"homset {format_type(dom)} -> {format_type(cod)} exceeds guard {guard}")
+        _check_guard(len(out), dom, cod, guard)
         _ENUM_CACHE[key] = out
     return out
+
+
+def _check_guard(members: int, dom: ObjectType, cod: ObjectType, guard: int) -> None:
+    if members > guard:
+        raise GuardExceeded(
+            f"homset {format_type(dom)} -> {format_type(cod)} exceeds guard {guard}")
 
 
 def _enumerate(dom: ObjectType, cod: ObjectType, graph: GeneratorGraph,
@@ -226,10 +230,13 @@ def _enumerate(dom: ObjectType, cod: ObjectType, graph: GeneratorGraph,
     if isinstance(cod, Prod):
         lefts = enumerate_terms(dom, cod.left, graph, guard=guard)
         rights = enumerate_terms(dom, cod.right, graph, guard=guard)
+        # checked before the product is built, which may be far larger
+        _check_guard(len(acc) + len(lefts) * len(rights), dom, cod, guard)
         acc.extend(Tuple(l, r) for l in lefts for r in rights)
     if isinstance(dom, Sum):
         lefts = enumerate_terms(dom.left, cod, graph, guard=guard)
         rights = enumerate_terms(dom.right, cod, graph, guard=guard)
+        _check_guard(len(acc) + len(lefts) * len(rights), dom, cod, guard)
         acc.extend(Cotuple(l, r) for l in lefts for r in rights)
     if isinstance(dom, Gen) and isinstance(cod, Gen):
         acc.extend(GenArrow(dom.name, path)

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -18,6 +20,7 @@ from sigmapi import (
     annotate,
     enumerate_terms,
     equal,
+    format_term,
     iter_types,
     normal_form,
     parse_term,
@@ -254,3 +257,30 @@ def test_balanced_identity_is_its_own_normal_form():
 def test_normal_form_rejects_generators():
     with pytest.raises(ValueError):
         normal_form(annotate(parse_term("!"), parse_type("x"), parse_type("1")))
+
+
+def test_every_verdict_over_small_homsets_is_pinned():
+    """Every ordered pair of enumerated terms over ``iter_types(5)``
+    squared: the sha1 of its ``Equal|kind|witness`` or ``NotEqual|reason``
+    lines, and the count of each kind and of each reason's last part."""
+    lines, counts = hashlib.sha1(), Counter()
+    for X in iter_types(5):
+        for A in iter_types(5):
+            anns = [annotate(t, X, A) for t in enumerate_terms(X, A)]
+            for f in anns:
+                for g in anns:
+                    v = equal(f, g)
+                    if isinstance(v, Equal):
+                        w = getattr(v.witness, "term", None)
+                        line = f"Equal|{v.kind}|{'' if w is None else format_term(w)}"
+                        counts[v.kind] += 1
+                    else:
+                        line = f"NotEqual|{v.reason}"
+                        counts[v.reason.rsplit(": ", 1)[-1]] += 1
+                    lines.update(line.encode() + b"\n")
+    assert counts == {
+        "bouncer": 576, "disconnect": 131972, "shared point": 16120,
+        "shared copoint": 16120, "singleton homset": 222, "syntactic": 243178,
+        "corner-mismatch": 198684, "point-mismatch": 31976,
+        "copoint-mismatch": 31976, "disconnect-mismatch": 6992}
+    assert lines.hexdigest() == "069c180b61cc19c3e0acac67e33d7b17ca9db05f"

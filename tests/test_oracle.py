@@ -1,4 +1,5 @@
 import itertools
+from functools import reduce
 
 import pytest
 
@@ -9,7 +10,9 @@ from sigmapi import (
     InputError,
     Inj,
     ONE,
+    Prod,
     Proj,
+    Sum,
     ZERO,
     TypingError,
     class_of,
@@ -30,6 +33,7 @@ from sigmapi.oracle import (
     homset_classes,
     neighbours,
 )
+from sigmapi.types import _INTERN
 
 
 def test_class_of_quest_into_sum():
@@ -76,6 +80,23 @@ def test_enumerate_deterministic_order():
 def test_guard_trips():
     with pytest.raises(GuardExceeded):
         enumerate_terms(parse_type("1*1"), parse_type("1+1"), guard=3)
+
+
+@pytest.mark.parametrize("pairing", ["tuple", "cotuple"])
+def test_guard_trips_before_building_a_product(pairing):
+    # 1 -> S*S with S seven factors 1+1 has 128 * 128 tuples, dually
+    # T+T -> 0 with T seven summands 0*0 as many cotuples; the guard must
+    # trip before they are built and interned
+    if pairing == "tuple":
+        s = reduce(Prod, [Sum(ONE, ONE)] * 7)
+        dom, cod = ONE, Prod(s, s)
+    else:
+        t = reduce(Sum, [Prod(ZERO, ZERO)] * 7)
+        dom, cod = Sum(t, t), ZERO
+    before = len(_INTERN)
+    with pytest.raises(GuardExceeded, match="exceeds guard 10000"):
+        enumerate_terms(dom, cod, guard=10_000)
+    assert len(_INTERN) - before < 10_000
 
 
 def test_guard_holds_after_a_cached_call():

@@ -8,25 +8,26 @@ be factored through injections or projections in linear time.
 """
 
 from sigmapi import (
+    COPOINT,
+    POINT,
     annotate,
-    copoint_of,
     disconnect,
-    factor_inj,
-    factor_proj,
+    factor,
     parse_term,
     parse_type,
-    point_of,
+    witness_of,
 )
 
 
 def show(node, depth=0):
-    a = node.ann
-    bits = f"pointed={'yes' if a.pointed else 'no '} copointed={'yes' if a.copointed else 'no '}"
+    pt, cp = node.ann  # the (point, copoint) witness pair, None where absent
+    bits = (f"pointed={'yes' if pt is not None else 'no '} "
+            f"copointed={'yes' if cp is not None else 'no '}")
     wits = []
-    if a.point_witness is not None:
-        wits.append(f"point {a.point_witness}")
-    if a.copoint_witness is not None:
-        wits.append(f"copoint {a.copoint_witness}")
+    if pt is not None:
+        wits.append(f"point {pt}")
+    if cp is not None:
+        wits.append(f"copoint {cp}")
     print("  " * depth + f"{node.term}  [{bits}]" + ("  " + "; ".join(wits) if wits else ""))
     for child in node.children:
         show(child, depth + 1)
@@ -35,7 +36,7 @@ def show(node, depth=0):
 # -- type-level witnesses ------------------------------------------------------
 for src in ("1+1", "0*1", "x", "(0+1)*(1+1)"):
     t = parse_type(src)
-    print(f"{src:12} point: {point_of(t)}   copoint: {copoint_of(t)}")
+    print(f"{src:12} point: {witness_of(POINT, t)}   copoint: {witness_of(COPOINT, t)}")
 
 # -- the disconnect ------------------------------------------------------------
 # between a copointed domain and a pointed codomain there is exactly one
@@ -55,10 +56,10 @@ show(annotate(parse_term("{s0 !, s1 !}"), parse_type("1+1"), parse_type("1+1")))
 # falling back on the copoint (dually point) when the shape blocks.
 f = annotate(parse_term("p0 s0 ?"), parse_type("0*1"), parse_type("0+0"))
 print("\nf = p0 s0 ? : 0*1 -> 0+0")
-print("  factor through s0:", factor_inj(f, 0).term)
-print("  factor through s1:", factor_inj(f, 1).term, " (through the copoint)")
-print("  factor through p1:", factor_proj(f, 1))
+print("  factor through s0:", factor(POINT, f, 0).term)
+print("  factor through s1:", factor(POINT, f, 1).term, " (through the copoint)")
+print("  factor through p1:", factor(COPOINT, f, 1))
 
 g = annotate(parse_term("s1 !"), parse_type("1"), parse_type("0+1"))
 print("g = s1 ! : 1 -> 0+1")
-print("  factor through s0:", factor_inj(g, 0), " (blocked: g is not copointed)")
+print("  factor through s0:", factor(POINT, g, 0), " (blocked: g is not copointed)")

@@ -22,6 +22,8 @@ from .types import (
 from .graph import EMPTY_GRAPH, Edge, GeneratorGraph, InputError, make_graph
 from .terms import (
     BANG,
+    COPOINT,
+    POINT,
     QUEST,
     Bang,
     Cotuple,
@@ -51,18 +53,8 @@ from .syntax import (
     parse_type,
 )
 from .compose import compose, eliminate, identity
-from .annotate import (
-    AnnotatedTerm,
-    Annotation,
-    VisitCounter,
-    annotate,
-    copoint_of,
-    disconnect,
-    point_of,
-    type_copointed,
-    type_pointed,
-)
-from .factor import factor_inj, factor_proj
+from .annotate import AnnotatedTerm, VisitCounter, annotate, disconnect, witness_of
+from .factor import factor
 from .decide import (
     Bouncer,
     Disconnect,

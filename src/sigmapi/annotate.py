@@ -7,8 +7,11 @@ computes both bits and a witness for each at every node.
 
 The calculus is self-dual, so each rule is written once for a *side*
 ``s``, ``POINT`` or ``COPOINT``, read from the duality table of
-``terms`` (which also explains sides).  An annotation is the pair of
-both witnesses, indexed by side.
+``terms`` (which also explains sides).  ``witness_of(s, t)`` is the
+canonical witness of side ``s`` of a type, and a term's annotation
+``ann`` is the plain pair ``(point witness, copoint witness)``, indexed
+by side, with None where there is none: a type or term is pointed
+exactly when its ``POINT`` witness is not None, copointed dually.
 
 Witnesses are kept in canonical form (built from one side's
 constructors only): these are the canonical points and copoints, each
@@ -58,7 +61,8 @@ from .types import Gen, ObjectType, One, Prod, Sum, Zero
 @lru_cache(maxsize=None)
 def witness_of(s: int, t: ObjectType) -> Optional[Term]:
     """A canonical point ``1 -> t`` (``s = POINT``) or copoint ``t -> 0``
-    (``s = COPOINT``), or None; the unary constructor prefers index 0."""
+    (``s = COPOINT``), or None; the unary constructor prefers index 0.
+    A generator object has neither: it is atomic."""
     if t is UNIT_OBJ[s]:
         return UNIT[s]
     if isinstance(t, PAIR_TYPE[s]):
@@ -75,75 +79,20 @@ def witness_of(s: int, t: ObjectType) -> Optional[Term]:
     raise TypeError(f"not a type: {t!r}")
 
 
-def point_of(t: ObjectType) -> Optional[Term]:
-    """A canonical point ``1 -> t``, or None; injections prefer index 0."""
-    return witness_of(POINT, t)
-
-
-def copoint_of(t: ObjectType) -> Optional[Term]:
-    """A canonical copoint ``t -> 0``, or None; projections prefer index 0."""
-    return witness_of(COPOINT, t)
-
-
-def type_pointed(t: ObjectType) -> bool:
-    """Whether the homset from ``1`` into ``t`` is inhabited.
-
-    Generators are atomic: there is no map from the empty product into a
-    generator object, hence they are not pointed.
-    """
-    return witness_of(POINT, t) is not None
-
-
-def type_copointed(t: ObjectType) -> bool:
-    """Whether the homset from ``t`` into ``0`` is inhabited (dual of pointed)."""
-    return witness_of(COPOINT, t) is not None
-
-
 def disconnect(dom: ObjectType, cod: ObjectType) -> Optional[Term]:
     """The unique pointed-and-copointed arrow ``dom -> cod`` when it
     exists (dom copointed, cod pointed), as a cut-free term: the canonical
     copoint of ``dom``, its ``?`` leaves read as ``0 -> cod``.  (Its
     composite with ``? : 0 -> cod`` is itself.)"""
-    return copoint_of(dom) if type_pointed(cod) else None
-
-
-class Annotation(tuple):
-    """The pair ``(point witness, copoint witness)`` of a term, indexed by
-    side; None where the term has none.  Being the pair itself, not an
-    object holding one, it costs one allocation per node."""
-
-    __slots__ = ()
-
-    @property
-    def point_witness(self) -> Optional[Term]:
-        return self[POINT]
-
-    @property
-    def copoint_witness(self) -> Optional[Term]:
-        return self[COPOINT]
-
-    @property
-    def pointed(self) -> bool:
-        return self[POINT] is not None
-
-    @property
-    def copointed(self) -> bool:
-        return self[COPOINT] is not None
-
-    @property
-    def definite(self) -> bool:
-        return self[POINT] is None and self[COPOINT] is None
-
-    @property
-    def is_disconnect(self) -> bool:
-        return self[POINT] is not None and self[COPOINT] is not None
-
-    def __repr__(self):
-        return (f"Annotation(pointed={self.pointed}, copointed={self.copointed}, "
-                f"point_witness={self.point_witness!r}, copoint_witness={self.copoint_witness!r})")
+    return witness_of(COPOINT, dom) if witness_of(POINT, cod) is not None else None
 
 
 class AnnotatedTerm:
+    """A typed cut-free term with its annotation and the annotated nodes
+    of its immediate subterms.  ``ann`` is the plain pair
+    ``(point witness, copoint witness)``, indexed by side: ``ann[s]`` is
+    None where the term has no witness of side ``s``."""
+
     __slots__ = ("term", "dom", "cod", "ann", "children")
 
     def __init__(self, term, dom, cod, ann, children):
@@ -180,8 +129,8 @@ class VisitCounter:
 def _make(s, term, free, built, mine, other, children) -> AnnotatedTerm:
     """Side ``s``'s node: ``free``, ``mine`` at index ``s``; ``built``, ``other`` at ``1 - s``."""
     if s == POINT:
-        return AnnotatedTerm(term, free, built, Annotation((mine, other)), children)
-    return AnnotatedTerm(term, built, free, Annotation((other, mine)), children)
+        return AnnotatedTerm(term, free, built, (mine, other), children)
+    return AnnotatedTerm(term, built, free, (other, mine), children)
 
 
 def ann_unit(s: int, free: ObjectType) -> AnnotatedTerm:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .annotate import annotate
 from .compose import identity
@@ -27,8 +28,10 @@ def balanced_type(height: int, product_on_top: bool = True) -> ObjectType:
     return Prod(child, child) if product_on_top else Sum(child, child)
 
 
+@lru_cache(maxsize=None)
 def mirror(t: ObjectType) -> Term:
-    """The branch-swapping automorphism of a symmetric balanced type."""
+    """The branch-swapping automorphism of a symmetric balanced type,
+    memoized per interned type as ``identity`` is, so linear in height."""
     match t:
         case One():
             return BANG
@@ -69,7 +72,8 @@ def run_bench(max_height: int = 10) -> list[BenchRow]:
 
 
 def bench_csv(rows: list[BenchRow]) -> str:
-    lines = ["height,size_X,size_A,steps,micros"]
+    lines = ["height,pair,size_X,size_A,steps,verdict,micros"]
     for r in rows:
-        lines.append(f"{r.height},{r.size_dom},{r.size_cod},{r.steps},{r.micros}")
+        lines.append(f"{r.height},{r.pair},{r.size_dom},{r.size_cod},{r.steps},{r.verdict},"
+                     f"{r.micros}")
     return "\n".join(lines) + "\n"

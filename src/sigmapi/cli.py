@@ -18,7 +18,7 @@ from . import bench as bench_mod
 from .annotate import AnnotatedTerm, annotate
 from .compose import eliminate
 from .decide import Equal, NotEqual, RequiresOracle, Stats, SyntacticRecursion, equal
-from .factor import factor_inj, factor_proj
+from .factor import factor
 from .graph import InputError
 from .oracle import (
     CardinalSquare,
@@ -31,8 +31,9 @@ from .oracle import (
     same_class,
 )
 from .syntax import Module, ParseError, parse_module, parse_type
-from .terms import Cut, TypedTerm, TypingError, format_term, infer, term_sort_key
-from .types import GuardExceeded, Prod, Sum, format_type
+from .terms import (COPOINT, POINT, UNARY_TYPE, Cut, TypedTerm, TypingError, format_term,
+                    infer, term_sort_key)
+from .types import GuardExceeded, format_type
 
 SCHEMA = 1
 
@@ -160,15 +161,15 @@ def cmd_compose(args) -> int:
 
 
 def _annotation_tree(node: AnnotatedTerm) -> dict:
-    a = node.ann
+    pt, cp = node.ann
     return {
         "term": format_term(node.term),
         "dom": format_type(node.dom),
         "cod": format_type(node.cod),
-        "pointed": a.pointed,
-        "copointed": a.copointed,
-        "point_witness": format_term(a.point_witness) if a.point_witness else None,
-        "copoint_witness": format_term(a.copoint_witness) if a.copoint_witness else None,
+        "pointed": pt is not None,
+        "copointed": cp is not None,
+        "point_witness": format_term(pt) if pt is not None else None,
+        "copoint_witness": format_term(cp) if cp is not None else None,
         "children": [_annotation_tree(c) for c in node.children],
     }
 
@@ -196,16 +197,12 @@ def cmd_factor(args) -> int:
     ann = _cut_free(_load(args.file), args.term)
     if (args.inj is None) == (args.proj is None):
         raise CliError("give exactly one of --inj or --proj", EX_USAGE)
-    if args.inj is not None:
-        if not isinstance(ann.cod, Sum):
-            raise CliError(f"{args.term} has no sum codomain to factor through", EX_TYPE)
-        got = factor_inj(ann, args.inj)
-        kind, index = "inj", args.inj
-    else:
-        if not isinstance(ann.dom, Prod):
-            raise CliError(f"{args.term} has no product domain to factor through", EX_TYPE)
-        got = factor_proj(ann, args.proj)
-        kind, index = "proj", args.proj
+    s = POINT if args.inj is not None else COPOINT
+    kind, index = (("inj", args.inj), ("proj", args.proj))[s]
+    if not isinstance(ann.end(1 - s), UNARY_TYPE[s]):
+        shape = ("sum codomain", "product domain")[s]
+        raise CliError(f"{args.term} has no {shape} to factor through", EX_TYPE)
+    got = factor(s, ann, index)
     if got is None:
         _emit({"factors": False, "kind": kind, "index": index}, "no factorization", args.json)
         return 1

@@ -23,7 +23,7 @@ from .annotate import (
     ann_unary,
     ann_unit,
     disconnect,
-    type_pointed,
+    witness_of,
 )
 from .factor import factor
 from .terms import COPOINT, PAIR, PAIR_TYPE, POINT, UNARY, UNIT, Term
@@ -196,7 +196,7 @@ def _normal_form(f: AnnotatedTerm, stats: Stats, like: Optional[tuple] = None) -
         parts = _normal_form(f.children[0], stats, like and like[4])
         n = UNARY[s](k, parts[0])
     # from here on the domain is a product and the codomain a sum
-    elif w.definite and (like is None or like[3].ann.definite):
+    elif w == (None, None) and (like is None or like[3].ann == (None, None)):
         # a definite map keeps one of its factors, and so does the memo
         s, k, low = _kept(f, stats)
         if like is not None and like[4][:2] != (s, k):
@@ -208,7 +208,7 @@ def _normal_form(f: AnnotatedTerm, stats: Stats, like: Optional[tuple] = None) -
         # map ``! ; pt`` is its canonical point, the one term of its class;
         # copoints dually.  A definite map beside an indefinite one gets
         # None, which differs.
-        n = disconnect(dom, cod) if w.is_disconnect else w[POINT] or w[COPOINT]
+        n = disconnect(dom, cod) if None not in w else w[POINT] or w[COPOINT]
         if like is not None and n is not like[0]:
             raise _Differs(_verdict(like[3], f, False, stats).reason)
     entry = stats.memo[key] = (n, stats.calls - calls, stats.counter.visits - visits, f, parts)
@@ -231,8 +231,8 @@ def _kept(f: AnnotatedTerm, stats: Stats) -> tuple[int, int, AnnotatedTerm]:
     is then epic (``A_j`` is copointed, as every generator-free type is
     pointed or copointed)."""
     inj = _factor(POINT, f, stats)
-    if inj is not None and (type_pointed(f.cod.component(inj[0]))
-                            or not type_pointed(f.cod.component(1 - inj[0]))):
+    if inj is not None and (witness_of(POINT, f.cod.component(inj[0])) is not None
+                            or witness_of(POINT, f.cod.component(1 - inj[0])) is None):
         return (POINT, *inj)
     proj = _factor(COPOINT, f, stats)
     return (POINT, *inj) if proj is None else (COPOINT, *proj)
@@ -275,10 +275,10 @@ def _verdict(f: AnnotatedTerm, g: AnnotatedTerm, same: bool, stats: Stats) -> Ve
     """The verdict at a position where both domains are products and both
     codomains sums, given whether the normal forms there are the same."""
     fw, gw = f.ann, g.ann
-    if fw.is_disconnect or gw.is_disconnect:
+    if None not in fw or None not in gw:
         # beside a disconnect, every (co)pointed map is the disconnect
         return Equal(Disconnect(f.term)) if same else NotEqual("disconnect-mismatch")
-    if not (fw.definite and gw.definite):
+    if fw != (None, None) or gw != (None, None):
         s = POINT if fw[POINT] is not None or gw[POINT] is not None else COPOINT
         return Equal(SHARED[s](fw[s])) if same else NotEqual(MISMATCH[s])
     return Equal(_bouncer(f, g, stats)) if same else NotEqual("corner-mismatch")
@@ -292,7 +292,7 @@ def _bouncer(f: AnnotatedTerm, g: AnnotatedTerm, stats: Stats) -> Witness:
     for a, b in ((f, g), (g, f)):
         inj, proj = _factor(POINT, a, stats), _factor(COPOINT, b, stats)
         if inj is not None and proj is not None:
-            s = POINT if type_pointed(inj[1].cod) else COPOINT
+            s = POINT if witness_of(POINT, inj[1].cod) is not None else COPOINT
             (k, _), (_, low) = (inj, proj) if s == POINT else (proj, inj)
             return Bouncer(factor(s, low, k, stats.counter).term)
     return SyntacticRecursion()  # both factor on the same side only

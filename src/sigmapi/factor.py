@@ -1,11 +1,13 @@
 """Linear-time factorization of a term through a coproduct injection or a
 product projection.
 
-``factor(POINT, f, j)`` returns an annotated ``f'`` with ``s_j f' == f``
-(up to the permuting conversions), or None when no such factor exists;
-``factor(COPOINT, f, i)`` dually returns ``f'`` with ``p_i f' == f``.
-Inputs must be pre-annotated so pointedness lookups are constant-time;
-the structural analysis, for the injection side:
+``factor(s, f, k)`` is the one entry point, written once for a side
+``s``: ``factor(POINT, f, j)`` returns an annotated ``f'`` with
+``s_j f' == f`` (up to the permuting conversions), or None when no such
+factor exists; ``factor(COPOINT, f, i)`` dually returns ``f'`` with
+``p_i f' == f``.  Inputs must be pre-annotated so that witness lookups
+(``f.ann[s]``) are constant-time; the structural analysis, for the
+injection side:
 
 * a syntactic ``s_j`` factor is taken as-is (deterministic and smallest);
 * otherwise a copointed term always factors, through its copoint;
@@ -18,7 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .annotate import AnnotatedTerm, VisitCounter, ann_pair, ann_unary, annotate
-from .terms import COPOINT, PAIR, POINT, UNARY, UNARY_TYPE, by_side
+from .terms import PAIR, UNARY, UNARY_TYPE, by_side
 
 
 def factor(s: int, f: AnnotatedTerm, k: int,
@@ -52,14 +54,3 @@ def factor(s: int, f: AnnotatedTerm, k: int,
         return ann_unary(o, t.index, body, f.end(s))
     raise ValueError(f"factor: unexpected shape {t!r}")
 
-
-def factor_inj(f: AnnotatedTerm, j: int,
-               counter: Optional[VisitCounter] = None) -> Optional[AnnotatedTerm]:
-    """Factor ``f : X -> A0+A1`` through the injection ``s_j``."""
-    return factor(POINT, f, j, counter)
-
-
-def factor_proj(f: AnnotatedTerm, i: int,
-                counter: Optional[VisitCounter] = None) -> Optional[AnnotatedTerm]:
-    """Factor ``f : X0*X1 -> A`` through the projection ``p_i``."""
-    return factor(COPOINT, f, i, counter)

@@ -15,6 +15,8 @@ import time
 
 from sigmapi import (
     BANG,
+    COPOINT,
+    POINT,
     QUEST,
     Cotuple,
     GenArrow,
@@ -30,8 +32,7 @@ from sigmapi import (
     eliminate,
     enumerate_terms,
     equal,
-    factor_inj,
-    factor_proj,
+    factor,
     iter_types,
     make_graph,
     metrics,
@@ -39,8 +40,7 @@ from sigmapi import (
     parse_type,
     same_class,
     term_metrics,
-    type_copointed,
-    type_pointed,
+    witness_of,
 )
 from sigmapi.bench import run_bench
 from sigmapi.decide import Equal, NotEqual
@@ -98,12 +98,12 @@ def test_criterion_1_oracle_agreement():
 def test_criterion_2_determinacy():
     count = 0
     for t in iter_types(12):
-        assert type_pointed(t) != type_copointed(t), t
+        assert (witness_of(POINT, t) is None) != (witness_of(COPOINT, t) is None), t
         count += 1
     checked = 0
     for t in iter_types(9):
-        assert type_pointed(t) == bool(enumerate_terms(ONE, t)), t
-        assert type_copointed(t) == bool(enumerate_terms(t, ZERO)), t
+        assert (witness_of(POINT, t) is not None) == bool(enumerate_terms(ONE, t)), t
+        assert (witness_of(COPOINT, t) is not None) == bool(enumerate_terms(t, ZERO)), t
         checked += 1
     _report("criterion 2 (determinacy)",
             f"{count} types <= 12 each pointed xor copointed; predicates match "
@@ -231,9 +231,9 @@ def test_criterion_5_weak_disjointness():
                     identifications += 1
                     fa = annotate(f, X, S.left)
                     ga = annotate(g, X, S.right)
-                    assert fa.ann.copointed and ga.ann.copointed, (f, g, X, S)
+                    assert None not in (fa.ann[COPOINT], ga.ann[COPOINT]), (f, g, X, S)
                     # a single copoint factors both sides
-                    witnesses = [w for w in (fa.ann.copoint_witness, ga.ann.copoint_witness)]
+                    witnesses = [w for w in (fa.ann[COPOINT], ga.ann[COPOINT])]
                     assert any(
                         same_class(compose(c, QUEST), f, X, S.left)
                         and same_class(compose(c, QUEST), g, X, S.right)
@@ -254,7 +254,7 @@ def test_criterion_6_monicity():
     sums = 0
     for S in _small_sums(6):
         A, B = S.left, S.right
-        expected = (not type_pointed(B)) or type_pointed(A)
+        expected = witness_of(POINT, B) is None or witness_of(POINT, A) is not None
         collision_free = True
         collision_seen = False
         for X in iter_types(6):
@@ -319,13 +319,13 @@ def test_criterion_8_preprocessing_linearity():
                 if isinstance(A, Sum):
                     for j in (0, 1):
                         c = VisitCounter()
-                        factor_inj(a, j, c)
+                        factor(POINT, a, j, c)
                         assert c.visits <= 2 * size
                         factored += 1
                 if isinstance(X, Prod):
                     for i in (0, 1):
                         c = VisitCounter()
-                        factor_proj(a, i, c)
+                        factor(COPOINT, a, i, c)
                         assert c.visits <= 2 * size
                         factored += 1
     _report("criterion 8 (linearity)",

@@ -2,6 +2,8 @@ import random
 
 from sigmapi import (
     BANG,
+    COPOINT,
+    POINT,
     QUEST,
     Inj,
     ONE,
@@ -11,56 +13,55 @@ from sigmapi import (
     class_of,
     annotate,
     compose,
-    copoint_of,
     disconnect,
     enumerate_terms,
     iter_types,
     metrics,
     parse_term,
     parse_type,
-    point_of,
     same_class,
     term_metrics,
+    witness_of,
 )
 
 
-def test_point_of_examples():
-    assert point_of(parse_type("1+1")) == Inj(0, BANG)
-    assert point_of(ZERO) is None
-    assert point_of(parse_type("x")) is None
-    assert copoint_of(parse_type("0*1")) == Proj(0, QUEST)
-    assert copoint_of(ONE) is None
+def test_witness_of_examples():
+    assert witness_of(POINT, parse_type("1+1")) == Inj(0, BANG)
+    assert witness_of(POINT, ZERO) is None
+    assert witness_of(POINT, parse_type("x")) is None
+    assert witness_of(COPOINT, parse_type("0*1")) == Proj(0, QUEST)
+    assert witness_of(COPOINT, ONE) is None
 
 
 def test_annotate_disconnect_example():
     a = annotate(parse_term("s1 !"), parse_type("0*0"), parse_type("0+1"))
-    assert a.ann.pointed and a.ann.copointed
-    assert a.ann.point_witness == parse_term("s1 !")
-    assert a.ann.copoint_witness == parse_term("p0 ?")
+    assert None not in a.ann
+    assert a.ann[POINT] == parse_term("s1 !")
+    assert a.ann[COPOINT] == parse_term("p0 ?")
 
 
 def test_annotate_copoint_example():
     a = annotate(parse_term("p0 ?"), parse_type("0*0"), ZERO)
-    assert not a.ann.pointed and a.ann.copointed
-    assert a.ann.copoint_witness == parse_term("p0 ?")
+    assert a.ann[POINT] is None and a.ann[COPOINT] is not None
+    assert a.ann[COPOINT] == parse_term("p0 ?")
 
 
 def test_annotate_point_example():
     a = annotate(parse_term("s0 !"), parse_type("1*1"), parse_type("1+1"))
-    assert a.ann.pointed and not a.ann.copointed
-    assert a.ann.point_witness == parse_term("s0 !")
+    assert a.ann[POINT] is not None and a.ann[COPOINT] is None
+    assert a.ann[POINT] == parse_term("s0 !")
 
 
 def test_identity_of_sum_is_not_pointed():
     # both components are pointed but with distinct points
     a = annotate(parse_term("{s0 !, s1 !}"), parse_type("1+1"), parse_type("1+1"))
-    assert not a.ann.pointed and not a.ann.copointed
+    assert a.ann == (None, None)
 
 
 def test_injected_copoint_is_disconnect():
     # the body is copointed, not pointed; the injection is the disconnect
     a = annotate(parse_term("s0 p0 ?"), parse_type("0*0"), parse_type("0+1"))
-    assert a.ann.pointed and a.ann.copointed
+    assert None not in a.ann
 
 
 def test_disconnect_examples():
@@ -84,7 +85,7 @@ def test_linearity_visit_counter():
 
 
 def _oracle_pointed(t, dom, cod):
-    p = point_of(cod)
+    p = witness_of(POINT, cod)
     if p is None:
         return False
     # pointed iff equal to ! ; p for some point; the disconnect analysis
@@ -94,7 +95,7 @@ def _oracle_pointed(t, dom, cod):
 
 
 def _oracle_copointed(t, dom, cod):
-    if copoint_of(dom) is None:
+    if witness_of(COPOINT, dom) is None:
         return False
     candidates = enumerate_terms(dom, ZERO)
     return any(same_class(t, compose(c, QUEST), dom, cod) for c in candidates)
@@ -105,8 +106,8 @@ def test_bits_agree_with_oracle_exhaustive_small():
         for A in iter_types(3):
             for t in enumerate_terms(X, A):
                 a = annotate(t, X, A)
-                assert a.ann.pointed == _oracle_pointed(t, X, A), (t, X, A)
-                assert a.ann.copointed == _oracle_copointed(t, X, A), (t, X, A)
+                assert (a.ann[POINT] is not None) == _oracle_pointed(t, X, A), (t, X, A)
+                assert (a.ann[COPOINT] is not None) == _oracle_copointed(t, X, A), (t, X, A)
 
 
 def test_witnesses_correct_randomized():
@@ -120,10 +121,10 @@ def test_witnesses_correct_randomized():
             continue
         t = rng.choice(terms)
         a = annotate(t, X, A)
-        if a.ann.pointed:
-            assert same_class(t, compose(BANG, a.ann.point_witness), X, A)
-        if a.ann.copointed:
-            assert same_class(t, compose(a.ann.copoint_witness, QUEST), X, A)
+        if a.ann[POINT] is not None:
+            assert same_class(t, compose(BANG, a.ann[POINT]), X, A)
+        if a.ann[COPOINT] is not None:
+            assert same_class(t, compose(a.ann[COPOINT], QUEST), X, A)
         checked += 1
 
 
@@ -135,7 +136,7 @@ def test_disconnect_unique_per_homset():
             classes, _ = homset_classes(X, A)
             both = [
                 c for c in classes
-                if annotate(c.canonical, X, A).ann.is_disconnect
+                if None not in annotate(c.canonical, X, A).ann
             ]
             assert len(both) <= 1
             if both:
@@ -154,10 +155,10 @@ def test_witnesses_correct_at_size_7():
             continue
         t = rng.choice(terms)
         a = annotate(t, X, A)
-        if a.ann.pointed:
-            assert same_class(t, compose(BANG, a.ann.point_witness), X, A)
-        if a.ann.copointed:
-            assert same_class(t, compose(a.ann.copoint_witness, QUEST), X, A)
+        if a.ann[POINT] is not None:
+            assert same_class(t, compose(BANG, a.ann[POINT]), X, A)
+        if a.ann[COPOINT] is not None:
+            assert same_class(t, compose(a.ann[COPOINT], QUEST), X, A)
         checked += 1
 
 
@@ -178,7 +179,7 @@ def test_canonical_witnesses_stand_for_themselves():
     # retype them without cut elimination; both rest on this
     points = copoints = 0
     for t in iter_types(9):
-        pt, cp = point_of(t), copoint_of(t)
+        pt, cp = witness_of(POINT, t), witness_of(COPOINT, t)
         if pt is not None:
             assert compose(BANG, pt) is pt, t
             points += 1
@@ -188,8 +189,8 @@ def test_canonical_witnesses_stand_for_themselves():
     assert (points, copoints) == (3941, 3941)
     singletons = 0
     for t in iter_types(7):
-        _assert_canonical(point_of(t), copoint_of(t), t, t)
-        singletons += (point_of(t) is not None) + (copoint_of(t) is not None)
+        _assert_canonical(witness_of(POINT, t), witness_of(COPOINT, t), t, t)
+        singletons += (witness_of(POINT, t) is not None) + (witness_of(COPOINT, t) is not None)
     assert singletons == 714
 
 
@@ -199,7 +200,7 @@ def test_annotation_witnesses_stand_for_themselves():
         for A in iter_types(4):
             for t in enumerate_terms(X, A):
                 a = annotate(t, X, A)
-                _assert_canonical(a.ann.point_witness, a.ann.copoint_witness, X, A)
-                points += a.ann.pointed
-                copoints += a.ann.copointed
+                _assert_canonical(*a.ann, X, A)
+                points += a.ann[POINT] is not None
+                copoints += a.ann[COPOINT] is not None
     assert (points, copoints) == (125, 125)

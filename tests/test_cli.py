@@ -143,7 +143,7 @@ def test_bench_csv(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     assert run(["bench", "--max-height", "3", "--csv", str(out)]) == 0
     header = out.read_text().splitlines()[0]
-    assert header == "height,size_X,size_A,steps,micros"
+    assert header == "height,pair,size_X,size_A,steps,verdict,micros"
 
 
 def test_internal_error_exit_code(tmp_path, capsys):

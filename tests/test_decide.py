@@ -223,7 +223,7 @@ def test_disconnect_witness_rechecks():
     v = equal(f, g)
     assert isinstance(v.witness, Disconnect)
     w = annotate(v.witness.term, parse_type("0*0"), parse_type("0+1"))
-    assert w.ann.pointed and w.ann.copointed
+    assert None not in w.ann
 
 
 def test_normal_form_picks_one_member_per_class():

@@ -16,6 +16,8 @@ from functools import lru_cache
 
 from sigmapi import (
     BANG,
+    COPOINT,
+    POINT,
     QUEST,
     ONE,
     ZERO,
@@ -34,6 +36,7 @@ from sigmapi import (
     equal,
     iter_types,
     neighbours,
+    witness_of,
 )
 from sigmapi.oracle import homset_classes
 
@@ -186,3 +189,26 @@ def test_conversion_step_is_symmetric_and_self_dual():
         for u in images:
             assert t in neighbours(u, X, A), (t, u, X, A)
         assert [op(u) for u in images] == neighbours(op(t), op_type(A), op_type(X)), (t, X, A)
+
+
+def test_witness_pair_is_exactly_self_dual():
+    """``op`` maps side ``s`` of an annotation to side ``1 - s`` of the
+    dual's, as the very interned term (None matching None): for every
+    term over ``iter_types(5)`` squared, and for the canonical witnesses
+    of every type in ``iter_types(7)``."""
+    def dual(w):
+        return None if w is None else op(w)
+
+    for X in iter_types(7):
+        for s in (POINT, COPOINT):
+            assert witness_of(1 - s, op_type(X)) is dual(witness_of(s, X)), (s, X)
+    terms = 0
+    for X in iter_types(5):
+        for A in iter_types(5):
+            for t in enumerate_terms(X, A):
+                w = annotate(t, X, A).ann
+                v = annotate(op(t), op_type(A), op_type(X)).ann
+                for s in (POINT, COPOINT):
+                    assert v[1 - s] is dual(w[s]), (t, X, A, s)
+                terms += 1
+    assert terms == 42368

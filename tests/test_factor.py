@@ -1,13 +1,14 @@
 import pytest
 
 from sigmapi import (
+    COPOINT,
+    POINT,
     Inj,
     Proj,
     VisitCounter,
     annotate,
     enumerate_terms,
-    factor_inj,
-    factor_proj,
+    factor,
     iter_types,
     parse_term,
     parse_type,
@@ -24,43 +25,43 @@ def _ann(src, dom, cod):
 
 def test_factor_inj_syntactic():
     f = _ann("s0 {!, !}", "1+1", "1+0")
-    got = factor_inj(f, 0)
+    got = factor(POINT, f, 0)
     assert got is not None and got.term == parse_term("{!, !}")
 
 
 def test_factor_inj_copointed_route():
     f = _ann("p0 s0 ?", "0*1", "0+0")
-    got = factor_inj(f, 1)
+    got = factor(POINT, f, 1)
     assert got is not None and got.term == parse_term("p0 ?")
     assert same_class(Inj(1, got.term), f.term, parse_type("0*1"), parse_type("0+0"))
 
 
 def test_factor_inj_blocked():
     f = _ann("s1 !", "1", "0+1")
-    assert factor_inj(f, 0) is None
+    assert factor(POINT, f, 0) is None
 
 
 def test_factor_proj_syntactic():
     f = _ann("p1 !", "0*1", "1")
-    got = factor_proj(f, 1)
+    got = factor(COPOINT, f, 1)
     assert got is not None and got.term == parse_term("!")
 
 
 def test_factor_proj_pushes_under_injection():
     f = _ann("s0 p0 {s0 !, s1 !}", "(1+1)*1", "(1+1)+0")
-    got = factor_proj(f, 0)
+    got = factor(COPOINT, f, 0)
     assert got is not None and got.term == parse_term("s0 {s0 !, s1 !}")
 
 
 def test_factor_proj_blocked():
     f = _ann("p0 ?", "0*0", "0")
-    assert factor_proj(f, 1) is None
+    assert factor(COPOINT, f, 1) is None
 
 
 def test_contract_requires_matching_shape():
     f = _ann("!", "0*0", "1")
     with pytest.raises(AssertionError):
-        factor_inj(f, 0)  # codomain is not a sum
+        factor(POINT, f, 0)  # codomain is not a sum
 
 
 def _sum_splits(max_size):
@@ -72,9 +73,10 @@ def _sum_splits(max_size):
 
 
 def test_soundness_and_completeness_against_oracle():
-    """factor_inj succeeds exactly on terms whose class contains an
-    injection-rooted member, and its output re-injects into the input's
-    class; dually for factor_proj.  Exhaustive over small homsets."""
+    """``factor(POINT, ·)`` succeeds exactly on terms whose class contains
+    an injection-rooted member, and its output re-injects into the input's
+    class; dually for ``factor(COPOINT, ·)``.  Exhaustive over small
+    homsets."""
     for X in iter_types(5):
         for S in _sum_splits(5):
             classes, index = homset_classes(X, S)
@@ -82,7 +84,7 @@ def test_soundness_and_completeness_against_oracle():
                 a = annotate(t, X, S)
                 cls = classes[index[t]]
                 for j in (0, 1):
-                    got = factor_inj(a, j)
+                    got = factor(POINT, a, j)
                     expected = any(isinstance(m, Inj) and m.index == j for m in cls.members)
                     assert (got is not None) == expected, (t, X, S, j)
                     if got is not None:
@@ -94,7 +96,7 @@ def test_soundness_and_completeness_against_oracle():
                 a = annotate(t, P, A)
                 cls = classes[index[t]]
                 for i in (0, 1):
-                    got = factor_proj(a, i)
+                    got = factor(COPOINT, a, i)
                     expected = any(isinstance(m, Proj) and m.index == i for m in cls.members)
                     assert (got is not None) == expected, (t, P, A, i)
                     if got is not None:
@@ -109,7 +111,7 @@ def test_linearity_bound():
         a = _ann(src, dom, cod)
         for j in (0, 1):
             c = VisitCounter()
-            factor_inj(a, j, c)
+            factor(POINT, a, j, c)
             assert c.visits <= 2 * term_metrics(a.term).size
 
 
@@ -117,9 +119,7 @@ def test_annotations_maintained():
     """Factored outputs carry annotations identical to a fresh pass."""
     def check(node):
         fresh = annotate(node.term, node.dom, node.cod)
-        assert (node.ann.pointed, node.ann.copointed) == (fresh.ann.pointed, fresh.ann.copointed)
-        assert node.ann.point_witness == fresh.ann.point_witness
-        assert node.ann.copoint_witness == fresh.ann.copoint_witness
+        assert node.ann == fresh.ann
         for ch in node.children:
             check(ch)
 
@@ -128,7 +128,7 @@ def test_annotations_maintained():
             for t in enumerate_terms(X, S):
                 a = annotate(t, X, S)
                 for j in (0, 1):
-                    got = factor_inj(a, j)
+                    got = factor(POINT, a, j)
                     if got is not None:
                         check(got)
 
@@ -149,13 +149,13 @@ def test_generator_typed_factoring_against_oracle():
         classes, index = homset_classes(X, S, g)
         for t in enumerate_terms(X, S, g):
             a = ann_fn(t, X, S)
-            if a.ann.pointed:
-                assert same_class(t, compose(BANG, a.ann.point_witness), X, S)
-            if a.ann.copointed:
-                assert same_class(t, compose(a.ann.copoint_witness, QUEST), X, S)
+            if a.ann[POINT] is not None:
+                assert same_class(t, compose(BANG, a.ann[POINT]), X, S)
+            if a.ann[COPOINT] is not None:
+                assert same_class(t, compose(a.ann[COPOINT], QUEST), X, S)
             cls = classes[index[t]]
             for j in (0, 1):
-                got = factor_inj(a, j)
+                got = factor(POINT, a, j)
                 expected = any(isinstance(m, Inj) and m.index == j for m in cls.members)
                 assert (got is not None) == expected, (t, X, S, j)
                 if got is not None:

@@ -6,6 +6,7 @@ measure the term tree."""
 from sigmapi import (
     BANG,
     ONE,
+    POINT,
     Equal,
     Inj,
     NotEqual,
@@ -42,7 +43,7 @@ def test_memos_add_no_stack_frames():
     assert infer(raw, ONE, cod).term is raw
     assert eliminate(raw) is t
     a = annotate(t, ONE, cod)
-    assert a.ann.pointed
+    assert a.ann[POINT] is not None
     assert normal_form(a) is t
     assert isinstance(equal(a, annotate(t, ONE, cod)), Equal)
     g = _nested(Inj(0, BANG))[0].body  # t with its innermost s1 ! as s0 !
@@ -73,6 +74,16 @@ def test_counts_keep_tree_size_semantics():
     rows = run_bench(12)
     assert {r.height: r.steps for r in rows if r.pair == "id-id"} == ID_ID_STEPS
     assert {r.height: r.steps for r in rows if r.pair == "id-mirror"} == ID_MIRROR_STEPS
+
+
+def test_bench_is_linear_in_height():
+    # ``mirror`` is memoized per interned type, as ``identity`` is; without
+    # that, each level of height multiplied its cost by about 1.8
+    rows = run_bench(40)
+    assert rows[-1].height == 40
+    low = [r for r in rows if r.height <= 12]
+    assert {r.height: r.steps for r in low if r.pair == "id-id"} == ID_ID_STEPS
+    assert {r.height: r.steps for r in low if r.pair == "id-mirror"} == ID_MIRROR_STEPS
 
 
 def test_stats_report_dag_work_and_drop_the_memo():

@@ -1,6 +1,8 @@
 from hypothesis import given, strategies as st
 
 from sigmapi import (
+    COPOINT,
+    POINT,
     Gen,
     ONE,
     ZERO,
@@ -9,8 +11,7 @@ from sigmapi import (
     iter_types,
     metrics,
     parse_type,
-    type_copointed,
-    type_pointed,
+    witness_of,
 )
 
 types = st.recursive(
@@ -38,34 +39,38 @@ def test_metrics_recursion(a, b):
         assert metrics(t) == (1 + ma.size + mb.size, 1 + max(ma.height, mb.height))
 
 
+def _has(s, t):
+    return witness_of(s, t) is not None
+
+
 def test_pointed_examples():
-    assert type_pointed(ONE)
-    assert type_pointed(parse_type("0+1"))
-    assert not type_pointed(Gen("x"))
-    assert type_copointed(ZERO)
-    assert type_copointed(parse_type("0*1"))
-    assert not type_copointed(ONE)
-    assert not type_copointed(Gen("x"))
+    assert _has(POINT, ONE)
+    assert _has(POINT, parse_type("0+1"))
+    assert not _has(POINT, Gen("x"))
+    assert _has(COPOINT, ZERO)
+    assert _has(COPOINT, parse_type("0*1"))
+    assert not _has(COPOINT, ONE)
+    assert not _has(COPOINT, Gen("x"))
 
 
 @given(types)
 def test_determinacy(t):
     # generator-free types have a point or a copoint, never both
-    assert type_pointed(t) != type_copointed(t)
+    assert _has(POINT, t) != _has(COPOINT, t)
 
 
 def test_agreement_with_enumeration_small():
     for t in iter_types(7):
-        assert type_pointed(t) == bool(enumerate_terms(ONE, t))
-        assert type_copointed(t) == bool(enumerate_terms(t, ZERO))
+        assert _has(POINT, t) == bool(enumerate_terms(ONE, t))
+        assert _has(COPOINT, t) == bool(enumerate_terms(t, ZERO))
 
 
 @given(types, types)
 def test_recursion_laws(a, b):
-    assert type_pointed(a * b) == (type_pointed(a) and type_pointed(b))
-    assert type_pointed(a + b) == (type_pointed(a) or type_pointed(b))
-    assert type_copointed(a * b) == (type_copointed(a) or type_copointed(b))
-    assert type_copointed(a + b) == (type_copointed(a) and type_copointed(b))
+    assert _has(POINT, a * b) == (_has(POINT, a) and _has(POINT, b))
+    assert _has(POINT, a + b) == (_has(POINT, a) or _has(POINT, b))
+    assert _has(COPOINT, a * b) == (_has(COPOINT, a) or _has(COPOINT, b))
+    assert _has(COPOINT, a + b) == (_has(COPOINT, a) and _has(COPOINT, b))
 
 
 @given(types)

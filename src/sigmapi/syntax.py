@@ -17,8 +17,9 @@ generator paths (``@node`` is the empty path), ``id:T``, and ``;`` for cut.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, islice, repeat
+from itertools import islice
 
 from .graph import Edge, GeneratorGraph, EMPTY_GRAPH, InputError
 from .terms import (
@@ -40,9 +41,8 @@ from .types import Gen, ObjectType, Prod, Sum, ONE, ZERO, format_type
 
 
 class ParseError(Exception):
-    """A syntax error at ``line`` and ``col`` (both 1-based).  The parser
-    knows only the index of the offending token; the line and column are
-    found by re-lexing up to that token when the error is raised."""
+    """A syntax error at ``line`` and ``col`` (both 1-based), found from
+    the character offset of the offending token."""
 
     def __init__(self, message: str, line: int, col: int):
         self.line = line
@@ -51,31 +51,38 @@ class ParseError(Exception):
 
 
 # Each match skips whitespace and comments, then takes one token: ``->``,
-# an ASCII identifier, any single character (``_Parser`` rejects one that
-# is not a symbol), or the empty end of input.
+# an ASCII identifier, any single character, or the empty end of input.
 _TOKEN_RE = re.compile(r"(?:\s+|\#[^\n]*)*(->|[A-Za-z_][A-Za-z0-9_]*|.|\Z)")
+# The same for a text with no ``#``, which it lexes faster
+_PLAIN_RE = re.compile(r"\s*(->|[A-Za-z_][A-Za-z0-9_]*|.|\Z)")
 
-_SYMBOLS = set("01!?<>{}(),;:+*@=.") | {"->", ""}
+
+def _scan(symbols: str) -> re.Pattern:
+    """Matches whitespace, comments, identifiers, ``->`` and ``symbols``,
+    up to the first character that is none of these."""
+    skip = rf"[\s{symbols}]*"
+    return re.compile(rf"{skip}(?:(?:[A-Za-z_][A-Za-z0-9_]*|->|\#[^\n]*){skip})*")
+
+
+# ``_RUN_RE`` stops at the next open bracket and ``_CLEAN_RE`` reads on;
+# both stop at a stray character (one that is no symbol and in no
+# identifier) and at the end
+_RUN_RE = _scan("01!?,;:+*@=.)>}")
+_CLEAN_RE = _scan("01!?,;:+*@=.)>}(<{")
+
 _KEYWORDS = {"term", "graph", "node", "edge", "id"}
 _TERM_WORDS = {"p0", "p1", "s0", "s1", "id"}
 _TERM_START = _TERM_WORDS | {"!", "?", "<", "{", "(", "@"}
 _PREFIXES = {"p0": (Proj, 0), "p1": (Proj, 1), "s0": (Inj, 0), "s1": (Inj, 1)}
 _GROUPS = {"(": (")", None), "<": (">", Tuple), "{": ("}", Cotuple)}  # open: close, node
-_NEST = {"(": 1, "<": 1, "{": 1, ")": -1, ">": -1, "}": -1}
-# Groups of fewer tokens are read again: keying one and looking it up
-# costs about as much as reading it.
+# Groups of fewer tokens are read again: keeping one and looking it up
+# costs about as much as reading it.  A kept group is looked up by its
+# first ``_LONG`` characters.
 _LONG = 16
-
-
-def _depths(toks: list[str], k: int) -> bytes:
-    """The bracket depth before each token from ``toks[k]`` on and after
-    the last, counted from 128, modulo 256."""
-    def depths():
-        return accumulate(map(_NEST.get, islice(toks, k, None), repeat(0)), initial=128)
-    try:
-        return bytes(depths())
-    except ValueError:  # 128 levels deeper or 129 shallower than at k
-        return bytes(map((255).__and__, depths()))
+# Failed lookups draw on a budget of this many times the length of the
+# text, each before it compares; once it is spent the text recalls no
+# more groups.
+_WASTE = 8
 
 
 @dataclass
@@ -97,38 +104,72 @@ class Module:
 
 
 class _Parser:
-    """Descent over ``toks``, the token strings of ``text``, which end with
-    ``""`` for end of input.  ``i`` is the index of the next token; a
-    position is a token index until an error needs its line and column.
+    """Descent over ``toks``, the tokens of ``text`` lexed so far, the
+    last ``""`` for end of input.  ``i`` is the index of the next token.
+
+    The text is lexed lazily, in runs: ``lex`` takes the tokens from
+    character ``end`` through the next open bracket, and whoever consumes
+    an open bracket lexes the next run.  ``firsts`` and ``starts`` hold
+    each run's first token index and character offset; a token's offset
+    is found from them when an error or a kept group needs it.
 
     Types and terms are each read by one loop over an explicit stack, so
     no rule recurses on brackets.  Each loop keeps a memo of the bracket
-    groups of at least ``_LONG`` tokens it has read, keyed by their text:
-    the parse of a group depends only on its tokens (and on ``graph``,
-    fixed while terms are read), so a group equal to one read before is
-    the same interned node and is skipped.  Only groups that parsed are
-    stored, so every error comes from a first reading.  The memos die
-    with the parser."""
+    groups of at least ``_LONG`` tokens it has read (or holding a group
+    it recalled), by their raw text: the parse of a group depends only on
+    its tokens (and on ``graph``, fixed while terms are read), and a group
+    starts at a token and ends with a one-character close bracket, so the
+    same characters at an open bracket lex to the same tokens and are the
+    same interned node.  That group is skipped before it is lexed.  Only
+    groups that parsed are kept, so every error comes from a first
+    reading.  The memos die with the parser."""
 
     def __init__(self, text: str, graph: GeneratorGraph = EMPTY_GRAPH):
         self.text = text
-        self.toks = _TOKEN_RE.findall(text)
+        self.toks: list[str] = []
         self.i = 0
         self.graph = graph
-        stray = {t for t in set(self.toks) - _SYMBOLS if not (t.isascii() and t.isidentifier())}
-        if stray:
-            k = min(map(self.toks.index, stray))
-            raise self.error(f"unexpected character {self.toks[k]!r}", k)
-        # ``_depths`` of the tokens from ``base`` on
-        self.depth: bytes | None = None
-        self.base = 0
-        # per kind, the long groups read: text -> node, and size -> the
-        # (start, node) of the one group of that size not keyed by text
-        # yet, or () once it is
-        self.type_groups: tuple[dict, dict] = ({}, {})
-        self.term_groups: tuple[dict, dict] = ({}, {})
+        self.end = 0
+        self.firsts: list[int] = []
+        self.starts: list[int] = []
+        self.offsets: dict[int, list[int]] = {}  # per run, its tokens' offsets, once needed
+        # per kind, the kept groups: their first ``_LONG`` characters ->
+        # [(offset, index of the close bracket, node)]
+        self.type_groups: dict[str, list] = {}
+        self.term_groups: dict[str, list] = {}
+        self.hit = -1  # the token index of the last recalled group's open bracket
+        self.waste = _WASTE * len(text)  # characters failed lookups may still compare
+        self.tokens = (_TOKEN_RE if "#" in text else _PLAIN_RE).findall
+        self.lex()
 
     # -- token plumbing -------------------------------------------------
+    def lex(self) -> None:
+        """Lex the text from ``end`` through the next open bracket, or to
+        the end of input.  A stray character raises here: the text before
+        it was lexed, or skipped as equal to text that was."""
+        text, start = self.text, self.end
+        end = _RUN_RE.match(text, start).end()
+        if end < len(text) and text[end] not in _GROUPS:
+            self.end = end
+            raise self.at("", end)  # which names the stray character at end
+        self.firsts.append(len(self.toks))
+        self.starts.append(start)
+        self.toks += self.tokens(text, start, end + 1)  # ends with ""
+        if end < len(text):  # at an open bracket, not at the end of input
+            self.toks.pop()
+            end += 1
+        self.end = end
+
+    def offset(self, k: int) -> int:
+        """The character offset of token ``k``."""
+        r = bisect_right(self.firsts, k) - 1
+        offs = self.offsets.get(r)
+        if offs is None:
+            last = self.firsts[r + 1] if r + 1 < len(self.firsts) else len(self.toks)
+            found = islice(_TOKEN_RE.finditer(self.text, self.starts[r]), last - self.firsts[r])
+            offs = self.offsets[r] = [m.start(1) for m in found]
+        return offs[k - self.firsts[r]]
+
     def peek(self) -> str:
         return self.toks[self.i]
 
@@ -149,11 +190,17 @@ class _Parser:
 
     def error(self, message: str, k: int | None = None) -> ParseError:
         """A ParseError at token ``k``, by default the last one read."""
-        if k is None:
-            k = self.i - 1
-        off = next(islice(_TOKEN_RE.finditer(self.text), k, None)).start(1)
-        line = self.text.count("\n", 0, off) + 1
-        return ParseError(message, line, off - self.text.rfind("\n", 0, off))
+        return self.at(message, self.offset(self.i - 1 if k is None else k))
+
+    def at(self, message: str, off: int) -> ParseError:
+        """A ParseError at character ``off``, unless the text holds a stray
+        character: the first one wins over any syntax error.  What was
+        lexed or skipped holds none, so only the rest is scanned."""
+        text = self.text
+        stray = _CLEAN_RE.match(text, self.end).end()
+        if stray < len(text):
+            message, off = f"unexpected character {text[stray]!r}", stray
+        return ParseError(message, text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off))
 
     def whole(self, rule, what: str):
         """``rule()``, which must read the whole text."""
@@ -163,41 +210,39 @@ class _Parser:
         return result
 
     # -- bracket groups -----------------------------------------------------
-    def recall(self, memo: tuple[dict, dict], k: int):
-        """The node of the group opened at token ``k`` if a group with its
-        text was read before; then ``i`` moves past it.  Else None.
+    def recall(self, memo: dict, c: int):
+        """The node of the group opened at character ``c``, the end of the
+        text lexed, if a group with its text was kept; then ``end`` moves
+        past it.  Else None.
 
-        The group is taken to end at the first later token after which
-        the depth is back to that before ``k``.  Depths are kept modulo
-        256, so a group 256 or more levels deep seems to end too early;
-        that text is unbalanced and matches no group read before.  A text
-        is joined only when a group of its size was read: the first one is
-        keyed only then."""
-        toks, depth, b = self.toks, self.depth, self.base
-        if depth is None:  # made on first use, from token ``base`` on
-            self.base = b = k
-            self.depth = depth = _depths(toks, k)
-        size = depth.find(depth[k - b], k - b + 1) + b - k  # < 1 if no end
-        texts, sizes = memo
-        first = sizes.get(size)
-        if first is None:
-            return None
-        if first:
-            s, node = first
-            texts[" ".join(toks[s:s + size])] = node
-            sizes[size] = ()
-        node = texts.get(" ".join(toks[k:k + size]))
-        if node is not None:
-            self.i = k + size
-        return node
+        At most one kept group can match: equal characters lex to equal
+        tokens, and those fix where the group at ``c`` ends.  A candidate
+        is compared whole only if its last ``_LONG`` characters match.
+        Each candidate is charged to ``waste`` before it is compared, so
+        the last one overdraws the budget by at most the text's length."""
+        text = self.text
+        for start, close, node in memo.get(text[c:c + _LONG], ()):
+            end = self.offset(close) + 1
+            size = end - start
+            whole = text.startswith(text[end - _LONG:end], c + size - _LONG)
+            self.waste -= _LONG + size if whole else _LONG
+            if self.waste < 0:
+                break
+            if whole and text.startswith(text[start:end], c):
+                self.waste += size  # not wasted: the group is skipped
+                self.end = c + size
+                self.hit = len(self.toks) - 1
+                return node
+        if self.waste < 0:  # lookups cost more than they save: stop
+            self.type_groups.clear()
+            self.term_groups.clear()
+        return None
 
-    def remember(self, memo: tuple[dict, dict], k: int, end: int, node) -> None:
-        """Store ``node``, read from tokens ``k`` to ``end - 1``."""
-        texts, sizes = memo
-        if end - k in sizes:
-            texts[" ".join(self.toks[k:end])] = node
-        else:
-            sizes[end - k] = (k, node)
+    def remember(self, memo: dict, c: int, i: int, node) -> None:
+        """Keep ``node``, read from character ``c`` to the close bracket at
+        token ``i``."""
+        if self.waste >= 0:
+            memo.setdefault(self.text[c:c + _LONG], []).append((c, i, node))
 
     # -- types -----------------------------------------------------------
     def type_(self) -> ObjectType:
@@ -207,20 +252,20 @@ class _Parser:
         products read around it."""
         toks = self.toks
         memo = self.type_groups
-        sizes = memo[1]
-        stack = []  # per open group: its start, and the sums and products around it
+        stack = []  # per open group: its token index and offset, the sums and products around it
         sums, prods = [], []
         i = self.i
         while True:
             tok = toks[i]
             i += 1
             if tok == "(":
-                self.i = i
-                if not sizes or (t := self.recall(memo, i - 1)) is None:
-                    stack.append((i - 1, sums, prods))
+                c = self.end - 1
+                t = self.recall(memo, c) if memo else None
+                self.lex()
+                if t is None:
+                    stack.append((i - 1, c, sums, prods))
                     sums, prods = [], []
                     continue
-                i = self.i
             elif tok == "0":
                 t = ZERO
             elif tok == "1":
@@ -248,9 +293,9 @@ class _Parser:
                     return t
                 if tok != ")":
                     raise self.mismatch(")", i)
-                k, sums, prods = stack.pop()
-                if i + 1 - k >= _LONG:
-                    self.remember(memo, k, i + 1, t)
+                k, c, sums, prods = stack.pop()
+                if i + 1 - k >= _LONG or self.hit > k:  # long, or holds a recalled group
+                    self.remember(memo, c, i, t)
                 i += 1
 
     # -- terms -----------------------------------------------------------
@@ -262,8 +307,9 @@ class _Parser:
         prefixes around it; groups are looked up as in ``type_``."""
         toks = self.toks
         memo = self.term_groups
-        sizes = memo[1]
-        stack = []  # per open group: its start, the cut and prefixes around it, its left term
+        # per open group: its token index and offset, the cut and prefixes
+        # around it, and its left term
+        stack = []
         cut, prefixes = None, []
         i = self.i
         while True:
@@ -273,12 +319,13 @@ class _Parser:
             tok = toks[i]
             i += 1
             if tok in _GROUPS:
-                self.i = i
-                if not sizes or (t := self.recall(memo, i - 1)) is None:
-                    stack.append((i - 1, cut, prefixes, None))
+                c = self.end - 1
+                t = self.recall(memo, c) if memo else None
+                self.lex()
+                if t is None:
+                    stack.append((i - 1, c, cut, prefixes, None))
                     cut, prefixes = None, []
                     continue
-                i = self.i
             elif tok == "!":
                 t = BANG
             elif tok == "?":
@@ -307,12 +354,12 @@ class _Parser:
                 if not stack:
                     self.i = i
                     return cut
-                k, outer, around, left = stack[-1]
+                k, c, outer, around, left = stack[-1]
                 close, cls = _GROUPS[toks[k]]
                 if cls is not None and left is None:  # the left term of a pair
                     if tok != ",":
                         raise self.mismatch(",", i)
-                    stack[-1] = (k, outer, around, cut)
+                    stack[-1] = (k, c, outer, around, cut)
                     cut = None
                     i += 1
                     break
@@ -320,8 +367,8 @@ class _Parser:
                     raise self.mismatch(close, i)
                 stack.pop()
                 t = cut if cls is None else cls(left, cut)
-                if i + 1 - k >= _LONG:
-                    self.remember(memo, k, i + 1, t)
+                if i + 1 - k >= _LONG or self.hit > k:
+                    self.remember(memo, c, i, t)
                 cut, prefixes = outer, around
                 i += 1
 
@@ -363,6 +410,7 @@ class _Parser:
     def graph_block(self) -> GeneratorGraph:
         self.expect("graph")
         self.expect("{")
+        self.lex()
         nodes: list[str] = []
         edges: dict[str, Edge] = {}
         spots: dict[str, dict[str, int]] = {}  # edge -> its parts' token indices

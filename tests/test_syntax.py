@@ -1,3 +1,7 @@
+import hashlib
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,7 +26,7 @@ from sigmapi import (
 )
 from sigmapi.bench import balanced_type, mirror
 from sigmapi.compose import identity
-from sigmapi.syntax import _Parser
+from sigmapi.syntax import _LONG, _TOKEN_RE, _Parser
 from sigmapi.terms import QUEST, Cut, Id, Quest
 from sigmapi.types import ONE, ZERO
 
@@ -139,6 +143,11 @@ _TYPE = "(x * x * x * x * x * x * x * x)"
     (parse_term, f"{{{_PAIR}, p0 ({_PAIR}", "expected ')', found 'end of input'", 1, 64),
     (parse_module, f"graph {{ node x; }}\nterm a : {_TYPE} -> {_TYPE} = {_TYPE} ;",
      "expected a term, found 'x'", 2, 80),
+    (parse_type, ") + $", "unexpected character '$'", 1, 5),
+    (parse_module, "term a : 1 -> 1 = ! ! ;\n  $", "unexpected character '$'", 2, 3),
+    (parse_term, f"<{_PAIR}, {_PAIR[:-1]} $>>", "unexpected character '$'", 1, 60),
+    (parse_term, f"<{_PAIR}, {_PAIR}> é", "unexpected character 'é'", 1, 62),
+    (parse_term, f"<{_PAIR}, <<p0 !, p1 !>, <s0 ?, s1 !!>>>", "expected '>', found '!'", 1, 58),
 ], ids=["stray-character", "stray-after-comment", "eof-in-type", "eof-in-term", "eof-in-edge",
         "eof-in-graph", "reserved-name", "duplicate-term", "duplicate-edge", "node-with-path",
         "unknown-edge", "missing-arrow", "trailing-type", "trailing-term", "undeclared-node",
@@ -146,7 +155,8 @@ _TYPE = "(x * x * x * x * x * x * x * x)"
         "eof-after-space", "eof-in-parens", "comma-in-parens", "near-repeat", "repeat-then-trailing",
         "type-group-as-term", "near-long-repeat", "same-size-near-long-repeat",
         "long-repeat-then-trailing", "long-repeat-then-comma", "long-repeat-then-end",
-        "long-type-group-as-term"])
+        "long-type-group-as-term", "stray-after-syntax-error", "stray-on-later-line",
+        "stray-in-near-copy", "non-ascii-after-copy", "copy-differs-in-last-token"])
 def test_parse_error_message_and_position(parse, text, message, line, col):
     with pytest.raises(ParseError) as err:
         parse(text)
@@ -181,7 +191,59 @@ def test_long_repeated_group_is_recalled():
     p = _Parser(f"<{_PAIR}, {_PAIR}>")
     t = p.whole(p.term, "term")
     assert t.left is t.right is parse_term(_PAIR)
-    assert p.term_groups[0] == {" ".join(p.toks[1:18]): t.left}  # keyed when it repeated
+    # kept once, from its first reading, and the copy recalled before it was lexed
+    assert p.term_groups[_PAIR[:_LONG]] == [(1, 17, t.left)]
+    assert p.toks[18:] == [",", "<", ">", ""]
+
+
+def test_copy_with_other_spacing_is_the_same_node():
+    # raw text differs, so the copy is read again, to the same interned node
+    t = parse_term(f"<{_PAIR}, <<p0 !,  p1 !>, <s0 ?, s1 ?>>>")
+    assert t.left is t.right
+
+
+def test_only_what_the_parser_reads_is_lexed():
+    text = format_term(mirror(balanced_type(12)))
+    p = _Parser(text)
+    assert p.whole(p.term, "term") is mirror(balanced_type(12))
+    assert len(p.toks) < len(_TOKEN_RE.findall(text)) / 100  # of 12,284 tokens
+
+
+def _traced(text, rule, what):
+    """``rule`` (``_Parser.type_`` or ``_Parser.term``) over the whole of
+    ``text``, the parser, and the peak of memory traced meanwhile."""
+    tracemalloc.start()
+    try:
+        p = _Parser(text)
+        return p.whole(lambda: rule(p), what), p, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_near_repeat_deep_groups_parse():
+    # two chains that differ only in their innermost atom: every group size
+    # of the first repeats in the second, but no group does.  No group's
+    # text is stored, so memory stays small (storing each would take
+    # hundreds of megabytes here), and each candidate is charged to the
+    # budget of failed lookups before it is compared, so the budget is
+    # overdrawn by one candidate at most (charging after the comparisons
+    # overdraws it quadratically)
+    d = 10_000
+    text = "(" * d + "0" + ")" * d + " * " + "(" * d + "1" + ")" * d
+    t, p, peak = _traced(text, _Parser.type_, "type")
+    assert t is Prod(ZERO, ONE)
+    assert peak < 20e6
+    assert p.waste >= -len(text) - _LONG
+    left, right = ("<" * d + atom + ", ?>" * d for atom in "!?")
+    text = f"<{left}, {right}>"
+    t, p, peak = _traced(text, _Parser.term, "term")
+    assert peak < 20e6
+    assert p.waste >= -len(text) - _LONG
+    for side, leaf in ((t.left, BANG), (t.right, QUEST)):
+        depth = 0
+        while isinstance(side, Tuple):  # walked in a loop: deeper than the stack
+            side, depth = side.left, depth + 1
+        assert (depth, side) == (d, leaf)
 
 
 DEEP = 100_000
@@ -196,8 +258,9 @@ DEEP = 100_000
 ], ids=["type-parens", "term-parens", "tuple", "cotuple", "id-parens"])
 def test_deep_brackets_parse(parse, text, child, depth, leaf):
     # brackets are read by loops.  After a group long enough to keep, each
-    # open bracket looks for its end at most 256 levels down; looking to
-    # the true end would make these texts quadratic to read
+    # open bracket is looked up by its first characters, and a candidate
+    # is compared only up to its own length; finding each group's true end
+    # first would make these texts quadratic to read
     t, seen = parse(text).right, 0
     while child and isinstance(t, (Tuple, Cotuple)):
         t, seen = getattr(t, child), seen + 1
@@ -211,6 +274,60 @@ def test_balanced_family_round_trips(height):
     assert parse_type(format_type(x)) is x
     for t in (identity(x), mirror(x)):
         assert parse_term(format_term(t)) is t
+
+
+def _pinned_corpus() -> list[str]:
+    """Seeded texts: the bench family as types, terms and modules, some of
+    the cases above, and mutations of them (character edits and
+    bracket-group copies: over another group, after itself, after itself
+    with one edit)."""
+    rng = random.Random(16)
+    texts = [_PAIR, _TYPE, f"<{_PAIR}, {_PAIR}>", _GRAPH + "term a : x -> y = @k ;",
+             "term a : 1 -> 1 = ! ; # note\n\t%", "1 +\n(0 *\n 1 $ 0)", "<<!, !>, <!, !!>>"]
+    for height in range(2, 8):
+        x = balanced_type(height)
+        texts += [format_type(x)] + [format_term(f(x)) for f in (identity, mirror)]
+        texts.append(f"term f : {format_type(x)} -> {format_type(x)} = {format_term(mirror(x))} ;")
+    alphabet = list("01!?<>{}(),;:+*@=. \nxk-é$") + ["p0", "s1", "id:", "->", "@k", "# c\n"]
+    base = list(texts)
+    for _ in range(3000):
+        t = rng.choice(base)
+        groups, stack = [], []
+        for i, ch in enumerate(t):
+            if ch in "(<{":
+                stack.append(i)
+            elif ch in ")>}" and stack:
+                groups.append((stack.pop(), i + 1))
+        if rng.random() < 0.3 or not groups:
+            for _ in range(rng.randint(1, 2)):
+                i = rng.randrange(len(t) + 1)
+                t = t[:i] + rng.choice(alphabet) + t[i + rng.randint(0, 1):]
+        else:
+            a, b = rng.choice(groups)
+            same = [g for g in groups if t[g[0]] == t[a]]  # groups in the same brackets
+            c, e = rng.choice(same if rng.random() < 0.7 else groups)
+            i = rng.randrange(a, b)
+            edited = t[a:i] + rng.choice(alphabet) + t[i + 1:b]
+            t = rng.choice([t[:c] + t[a:b] + t[e:], t[:b] + ", " + t[a:b] + t[b:],
+                            t[:b] + " " + edited + t[b:], t[:a] + t[a:b] + " * " + edited + t[b:]])
+        texts.append(t)
+    return texts
+
+
+def test_parse_outcomes_are_pinned():
+    # printed results and error positions of a seeded corpus, pinned when
+    # the parser still lexed every text whole (commit e99ee89)
+    outcomes = []
+    for text in _pinned_corpus():
+        for parse, show in ((parse_module, format_module), (parse_type, format_type),
+                            (parse_term, format_term)):
+            try:
+                outcomes.append(show(parse(text)))
+            except ParseError as err:
+                outcomes.append((str(err), err.line, err.col))
+    assert len(outcomes) == 9_093
+    digest = hashlib.sha1(repr(outcomes).encode()).hexdigest()
+    assert digest == "89b634356297b95c277608f1e155d65c9a55b983"
 
 
 _G = make_graph(["x", "y"], [("k", "x", "y")])

@@ -14,10 +14,9 @@ from .types import (
     Zero,
     ONE,
     ZERO,
-    contains_gen,
     format_type,
     iter_types,
-    metrics,
+    witness_of,
 )
 from .graph import EMPTY_GRAPH, Edge, GeneratorGraph, InputError, make_graph
 from .terms import (
@@ -53,7 +52,7 @@ from .syntax import (
     parse_type,
 )
 from .compose import compose, eliminate, identity
-from .annotate import AnnotatedTerm, VisitCounter, annotate, disconnect, witness_of
+from .annotate import AnnotatedTerm, VisitCounter, annotate, disconnect
 from .factor import factor
 from .decide import (
     Bouncer,

@@ -7,8 +7,9 @@ computes both bits and a witness for each at every node.
 
 The calculus is self-dual, so each rule is written once for a *side*
 ``s``, ``POINT`` or ``COPOINT``, read from the duality table of
-``terms`` (which also explains sides).  ``witness_of(s, t)`` is the
-canonical witness of side ``s`` of a type, and a term's annotation
+``types`` (which also explains sides).  ``witness_of(s, t)`` is the
+canonical witness of side ``s`` of a type, a field that ``types`` sets
+when it interns the type, and a term's annotation
 ``ann`` is the plain pair ``(point witness, copoint witness)``, indexed
 by side, with None where there is none: a type or term is pointed
 exactly when its ``POINT`` witness is not None, copointed dually.
@@ -33,7 +34,6 @@ cut-eliminate it.  Two facts shape the rules:
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Optional
 
 from .terms import (
@@ -42,7 +42,6 @@ from .terms import (
     PAIR_TYPE,
     POINT,
     UNARY,
-    UNARY_TYPE,
     UNIT,
     UNIT_OBJ,
     Bang,
@@ -55,28 +54,7 @@ from .terms import (
     Tuple,
     TypedTerm,
 )
-from .types import Gen, ObjectType, One, Prod, Sum, Zero
-
-
-@lru_cache(maxsize=None)
-def witness_of(s: int, t: ObjectType) -> Optional[Term]:
-    """A canonical point ``1 -> t`` (``s = POINT``) or copoint ``t -> 0``
-    (``s = COPOINT``), or None; the unary constructor prefers index 0.
-    A generator object has neither: it is atomic."""
-    if t is UNIT_OBJ[s]:
-        return UNIT[s]
-    if isinstance(t, PAIR_TYPE[s]):
-        l, r = witness_of(s, t.left), witness_of(s, t.right)
-        return PAIR[s](l, r) if l is not None and r is not None else None
-    if isinstance(t, UNARY_TYPE[s]):
-        l = witness_of(s, t.left)
-        if l is not None:
-            return UNARY[s](0, l)
-        r = witness_of(s, t.right)
-        return UNARY[s](1, r) if r is not None else None
-    if isinstance(t, (Zero, One, Gen)):
-        return None
-    raise TypeError(f"not a type: {t!r}")
+from .types import ObjectType, Prod, Sum, witness_of
 
 
 def disconnect(dom: ObjectType, cod: ObjectType) -> Optional[Term]:

@@ -18,7 +18,7 @@ from .annotate import annotate
 from .compose import identity
 from .decide import Equal, Stats, equal
 from .terms import BANG, Cotuple, Inj, Proj, Term, Tuple
-from .types import ObjectType, One, Prod, Sum, ONE, metrics
+from .types import ObjectType, One, Prod, Sum, ONE
 
 
 def balanced_type(height: int, product_on_top: bool = True) -> ObjectType:
@@ -64,8 +64,7 @@ def run_bench(max_height: int = 10) -> list[BenchRow]:
             stats = Stats()
             verdict = equal(left, right, stats)
             dt = time.perf_counter() - t0
-            m = metrics(x)
-            rows.append(BenchRow(h, name, m.size, m.size, stats.steps,
+            rows.append(BenchRow(h, name, x.size, x.size, stats.steps,
                                  int(dt * 1e6),
                                  "Equal" if isinstance(verdict, Equal) else "NotEqual"))
     return rows

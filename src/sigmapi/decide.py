@@ -23,11 +23,10 @@ from .annotate import (
     ann_unary,
     ann_unit,
     disconnect,
-    witness_of,
 )
 from .factor import factor
 from .terms import COPOINT, PAIR, PAIR_TYPE, POINT, UNARY, UNIT, Term
-from .types import Prod, Sum, ONE, ZERO, contains_gen
+from .types import Prod, Sum, ONE, ZERO, witness_of
 
 
 # -- verdicts ---------------------------------------------------------------
@@ -140,7 +139,7 @@ def restrict(s: int, f: AnnotatedTerm, k: int, counter: VisitCounter) -> Annotat
 
 def normal_form(f: AnnotatedTerm) -> Term:
     """The chosen member of the class of ``f`` (generator-free)."""
-    if contains_gen(f.dom) or contains_gen(f.cod):
+    if f.dom.has_gen or f.cod.has_gen:
         raise ValueError("normal_form: generator objects present; see the oracle")
     stats = Stats()
     stats.memo = {}
@@ -246,7 +245,7 @@ def equal(f: AnnotatedTerm, g: AnnotatedTerm, stats: Optional[Stats] = None) -> 
     Generator-free only; see the oracle otherwise."""
     if f.dom != g.dom or f.cod != g.cod:
         raise ValueError("equal: terms are not parallel")
-    if contains_gen(f.dom) or contains_gen(f.cod):
+    if f.dom.has_gen or f.cod.has_gen:
         return RequiresOracle()
     stats = stats if stats is not None else Stats()
     stats.memo = {}

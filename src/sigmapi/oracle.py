@@ -9,7 +9,7 @@ tuples with a tuple of cotuples, and the unit laws (``p_i ! = !``,
 The closure applies every law as a bidirectional rewrite at every
 position until a fixpoint; it is exponential but exact, and is the only
 equality route for terms over generator objects.  ``neighbours`` writes
-each law once, for a side, from the duality table of ``terms``: the
+each law once, for a side, from the duality table of ``types``: the
 dual of a law is the same lines read for the other side.
 """
 
@@ -77,13 +77,14 @@ def neighbours(t: Term, dom: ObjectType, cod: ObjectType,
     ``memo`` maps ``(t, dom, cod)`` to its list of images, shared by the
     recursion into children: a subterm met again, in this member or in
     another, is looked up rather than rewritten again.  Lists taken from
-    the memo are the memo's own and must not be mutated.  Without a memo
-    every call builds a fresh list."""
-    if memo is not None:
-        key = (t, dom, cod)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+    the memo are the memo's own and must not be mutated.  A call without
+    a memo makes its own, so it returns a fresh list."""
+    if memo is None:
+        memo = {}
+    key = (t, dom, cod)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
     out: list[Term] = []
     kind = type(t)
     if kind in UNARY:
@@ -122,8 +123,7 @@ def neighbours(t: Term, dom: ObjectType, cod: ObjectType,
         case Cotuple(left, right):
             out.extend(Cotuple(l, right) for l in neighbours(left, dom.left, cod, memo))
             out.extend(Cotuple(left, r) for r in neighbours(right, dom.right, cod, memo))
-    if memo is not None:
-        memo[key] = out
+    memo[key] = out
     return out
 
 

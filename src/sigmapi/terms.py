@@ -1,25 +1,14 @@
-"""Proof-term syntax trees and the typing judgment.
+"""The typing judgment of proof terms, their synthesis, order and size.
 
-Cut-free terms are built from the eight constructors below (``Id`` and
-``Cut`` are the extra "raw" constructors that the compose module
-eliminates).  A term does not carry its typing; ``infer`` checks a term
+Cut-free terms are built from the eight constructors of ``types`` (``Id``
+and ``Cut`` are the extra "raw" constructors that the compose module
+eliminates); they live there, hash-consed with the types, because a
+type's canonical witnesses are terms.  This module names them too, with
+the duality table of sides, ``POINT`` and ``COPOINT``, which ``types``
+explains.  A term does not carry its typing; ``infer`` checks a term
 against a domain and codomain, and the typing of every subterm is then
 uniquely determined by the constructor indices, so callers thread
 ``(dom, cod)`` pairs instead of storing them in the nodes.
-
-Like types, term nodes are hash-consed: structurally equal terms are the
-same object, equality is identity, and hashing is constant-time.  The
-oracle's closure sets rely on this.  Every node class is built by the
-one interning constructor of ``types``.  Treat instances as immutable.
-
-The calculus is self-dual, so the rules downstream are written once for
-a *side* ``s``: ``POINT`` (0) or ``COPOINT`` (1), the other side being
-``1 - s``.  Each row of the duality table below is a pair, entry ``[s]``
-being side ``s``'s version: points are built from ``!``, injections and
-tuples, copoints from ``?``, projections and cotuples.  A side builds at
-one end of the typing ``(dom, cod)``, the point side at the codomain and
-the copoint side at the domain: side ``s`` builds at index ``1 - s`` and
-leaves index ``s`` alone.
 """
 
 from __future__ import annotations
@@ -28,104 +17,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graph import EMPTY_GRAPH, GeneratorGraph
-from .types import (
-    Gen,
-    ObjectType,
-    Prod,
-    Sum,
-    TypeMetrics,
-    ONE,
-    ZERO,
-    _intern,
-    format_type,
-)
-
-
-class Term:
-    __slots__ = ()
-    __new__ = _intern
-
-    def __repr__(self) -> str:
-        return format_term(self)
-
-
-class Bang(Term):
-    """The unique map into the terminal object, written ``!``."""
-
-    __slots__ = ()
-    __match_args__ = ()
-
-
-class Quest(Term):
-    """The unique map out of the initial object, written ``?``."""
-
-    __slots__ = ()
-    __match_args__ = ()
-
-
-class Proj(Term):
-    __slots__ = ("index", "body")
-    __match_args__ = ("index", "body")
-
-
-class Inj(Term):
-    __slots__ = ("index", "body")
-    __match_args__ = ("index", "body")
-
-
-class Tuple(Term):
-    __slots__ = ("left", "right")
-    __match_args__ = ("left", "right")
-
-
-class Cotuple(Term):
-    __slots__ = ("left", "right")
-    __match_args__ = ("left", "right")
-
-
-class GenArrow(Term):
-    """An arrow of the generator category: an edge path from ``src``.
-
-    The empty path at ``src`` is the identity generator arrow.
-    """
-
-    __slots__ = ("src", "edges")
-    __match_args__ = ("src", "edges")
-
-    def __new__(cls, src: str, edges: tuple[str, ...] = ()):
-        return _intern(cls, src, tuple(edges))
-
-
-class Id(Term):
-    """Raw identity at a type; removed by cut elimination."""
-
-    __slots__ = ("at",)
-    __match_args__ = ("at",)
-
-
-class Cut(Term):
-    """Raw composition ``left ; right``; removed by cut elimination."""
-
-    __slots__ = ("left", "right")
-    __match_args__ = ("left", "right")
-
-
-BANG = Bang()
-QUEST = Quest()
-
-POINT, COPOINT = 0, 1
-
-UNIT = (BANG, QUEST)        # the unit arrow
-UNIT_OBJ = (ONE, ZERO)      # the object it meets
-UNARY = (Inj, Proj)         # the unary constructor
-UNARY_TYPE = (Sum, Prod)    # the type it reaches into
-PAIR = (Tuple, Cotuple)     # the pairing
-PAIR_TYPE = (Prod, Sum)     # the type it builds
-
-
-def by_side(s: int, mine, other) -> tuple:
-    """The pair with ``mine`` at index ``s`` and ``other`` at ``1 - s``."""
-    return (mine, other) if s == POINT else (other, mine)
+# the whole term grammar, BANG, QUEST and by_side included: callers import
+# it from here, with the judgment
+from .types import (BANG, COPOINT, PAIR, PAIR_TYPE, POINT, QUEST, UNARY, UNARY_TYPE, UNIT,
+                    UNIT_OBJ, Bang, Cotuple, Cut, Gen, GenArrow, Id, Inj, ObjectType, Prod,
+                    Proj, Quest, Sum, Term, Tuple, TypeMetrics, ONE, ZERO, by_side,
+                    format_term, format_type)
 
 
 def is_cut_free(t: Term) -> bool:
@@ -312,34 +209,3 @@ def _synth(s: int, t: Term, end: Optional[ObjectType],
         factors = (t.left, t.right)
         return _synth(s, factors[o], _synth(s, factors[s], end, graph), graph)
     return None
-
-
-def format_term(t: Term) -> str:
-    """Single-line rendering in the surface syntax; inverse of the parser
-    on cut-free terms."""
-    return _fmt(t, cuts_ok=True)
-
-
-def _fmt(t: Term, cuts_ok: bool) -> str:
-    match t:
-        case Bang():
-            return "!"
-        case Quest():
-            return "?"
-        case Proj(i, body):
-            return f"p{i} {_fmt(body, cuts_ok=False)}"
-        case Inj(j, body):
-            return f"s{j} {_fmt(body, cuts_ok=False)}"
-        case Tuple(left, right):
-            return f"<{_fmt(left, True)}, {_fmt(right, True)}>"
-        case Cotuple(left, right):
-            return f"{{{_fmt(left, True)}, {_fmt(right, True)}}}"
-        case GenArrow(src, edges):
-            body = ".".join(edges) if edges else src
-            return f"@{body}"
-        case Id(at):
-            return f"id:{format_type(at)}"
-        case Cut(left, right):
-            s = f"{_fmt(left, True)} ; {_fmt(right, True)}"
-            return s if cuts_ok else f"({s})"
-    raise ValueError(f"cannot format {t!r}")

@@ -35,7 +35,6 @@ from sigmapi import (
     factor,
     iter_types,
     make_graph,
-    metrics,
     parse_term,
     parse_type,
     same_class,
@@ -73,7 +72,7 @@ def test_criterion_1_oracle_agreement():
                     assert agreed, (terms[i], terms[j], X, A, verdict)
 
     rng = random.Random(20260810)
-    large = [t for t in iter_types(8) if metrics(t).size >= 7]
+    large = [t for t in iter_types(8) if t.size >= 7]
     sampled = 0
     while sampled < 1000:
         X, A = rng.choice(large), rng.choice(large)
@@ -168,13 +167,11 @@ def test_criterion_3_size_height_bound():
 
     total = 0
     for X in iter_types(7):
-        mX = metrics(X)
         for A in iter_types(7):
-            mA = metrics(A)
             for (s, h), n in profile(X, A).items():
                 total += n
-                assert s <= mX.size * mA.size, (X, A, s)
-                assert h <= mX.height + mA.height, (X, A, h)
+                assert s <= X.size * A.size, (X, A, s)
+                assert h <= X.height + A.height, (X, A, h)
     _report("criterion 3 (size/height bound)",
             f"all {total} enumerated terms at type sizes <= 7 satisfy "
             f"size <= |X||A| and height <= hgt X + hgt A")

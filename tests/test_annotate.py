@@ -16,7 +16,6 @@ from sigmapi import (
     disconnect,
     enumerate_terms,
     iter_types,
-    metrics,
     parse_term,
     parse_type,
     same_class,
@@ -146,7 +145,7 @@ def test_disconnect_unique_per_homset():
 
 def test_witnesses_correct_at_size_7():
     rng = random.Random(7)
-    big = [t for t in iter_types(7) if metrics(t).size == 7]
+    big = [t for t in iter_types(7) if t.size == 7]
     checked = 0
     while checked < 60:
         X, A = rng.choice(big), rng.choice(big)

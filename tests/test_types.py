@@ -1,3 +1,6 @@
+import hashlib
+from itertools import chain
+
 from hypothesis import given, strategies as st
 
 from sigmapi import (
@@ -5,11 +8,13 @@ from sigmapi import (
     POINT,
     Gen,
     ONE,
+    Prod,
+    Sum,
     ZERO,
     enumerate_terms,
+    format_term,
     format_type,
     iter_types,
-    metrics,
     parse_type,
     witness_of,
 )
@@ -22,21 +27,21 @@ types = st.recursive(
 
 
 def test_metrics_units():
-    assert metrics(ZERO) == (1, 1)
-    assert metrics(ONE) == (1, 1)
+    assert (ZERO.size, ZERO.height) == (1, 1)
+    assert (ONE.size, ONE.height) == (1, 1)
 
 
 def test_metrics_examples():
-    assert metrics(parse_type("0*0")) == (3, 2)
-    assert metrics(parse_type("(1+1)*1")) == (5, 3)
-    assert metrics(Gen("x")) == (1, 1)
+    t, u, x = parse_type("0*0"), parse_type("(1+1)*1"), Gen("x")
+    assert (t.size, t.height) == (3, 2)
+    assert (u.size, u.height) == (5, 3)
+    assert (x.size, x.height) == (1, 1)
 
 
 @given(types, types)
 def test_metrics_recursion(a, b):
-    ma, mb = metrics(a), metrics(b)
     for t in (a + b, a * b):
-        assert metrics(t) == (1 + ma.size + mb.size, 1 + max(ma.height, mb.height))
+        assert (t.size, t.height) == (1 + a.size + b.size, 1 + max(a.height, b.height))
 
 
 def _has(s, t):
@@ -81,5 +86,39 @@ def test_format_parse_roundtrip(t):
 def test_iter_types_counts():
     per_size = {}
     for t in iter_types(7):
-        per_size[metrics(t).size] = per_size.get(metrics(t).size, 0) + 1
+        per_size[t.size] = per_size.get(t.size, 0) + 1
     assert per_size == {1: 2, 3: 8, 5: 64, 7: 640}
+
+
+def test_type_facts_are_pinned():
+    # size, height, has_gen and both witnesses of 11,359 types; the sha1
+    # was taken when each fact was computed by its own walk of the type
+    def show(w):
+        return "-" if w is None else format_term(w)
+
+    h = hashlib.sha1()
+    n = 0
+    for t in chain(iter_types(9), iter_types(7, (ZERO, ONE, Gen("x")))):
+        h.update(f"{format_type(t)}|{t.size}|{t.height}|{t.has_gen}|"
+                 f"{show(witness_of(POINT, t))}|{show(witness_of(COPOINT, t))}\n".encode())
+        n += 1
+    assert n == 11_359
+    assert h.hexdigest() == "b754e59eda262cb82cdfefb63a010673f030fa06"
+
+
+def test_type_facts_at_any_depth():
+    # facts are fields set from the children's, so depth is not limited
+    # by the interpreter's stack (the printers still recurse: print nothing)
+    p = ONE
+    for _ in range(100_000):
+        p = Prod(p, ONE)
+    s = Gen("x")
+    for _ in range(100_000):
+        s = Sum(ZERO, s)
+    assert witness_of(POINT, p) is not None
+    assert witness_of(COPOINT, p) is None
+    assert p.size == 200_001
+    assert p.height == 100_001
+    assert s.has_gen
+    assert witness_of(POINT, s) is None
+    assert witness_of(COPOINT, s) is None

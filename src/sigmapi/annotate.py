@@ -39,7 +39,6 @@ from typing import Optional
 from .terms import (
     COPOINT,
     PAIR,
-    PAIR_TYPE,
     POINT,
     UNARY,
     UNIT,
@@ -54,7 +53,7 @@ from .terms import (
     Tuple,
     TypedTerm,
 )
-from .types import ObjectType, Prod, Sum, witness_of
+from .types import ONE, ZERO, ObjectType, Prod, Sum, witness_of
 
 
 def disconnect(dom: ObjectType, cod: ObjectType) -> Optional[Term]:
@@ -100,12 +99,10 @@ class VisitCounter:
     def __init__(self):
         self.visits = 0
 
-    def tick(self):
-        self.visits += 1
-
 
 def _make(s, term, free, built, mine, other, children) -> AnnotatedTerm:
-    """Side ``s``'s node: ``free``, ``mine`` at index ``s``; ``built``, ``other`` at ``1 - s``."""
+    """The one node builder: side ``s``'s node, with ``free`` and ``mine``
+    at index ``s`` and ``built`` and ``other`` at ``1 - s``."""
     if s == POINT:
         return AnnotatedTerm(term, free, built, (mine, other), children)
     return AnnotatedTerm(term, built, free, (other, mine), children)
@@ -116,28 +113,41 @@ def ann_unit(s: int, free: ObjectType) -> AnnotatedTerm:
     return _make(s, UNIT[s], free, UNIT_OBJ[s], UNIT[s], witness_of(1 - s, free), ())
 
 
-def ann_unary(s: int, k: int, body: AnnotatedTerm, built: ObjectType) -> AnnotatedTerm:
+def ann_unary(s: int, k: int, body: AnnotatedTerm, built: ObjectType,
+              term: Optional[Term] = None) -> AnnotatedTerm:
     """``s_k body`` into the sum ``built`` (``s = POINT``), or ``p_k body``
-    out of the product ``built`` (``s = COPOINT``)."""
+    out of the product ``built`` (``s = COPOINT``).  ``term`` is that
+    term, when the caller holds it."""
     w = body.ann
     o = 1 - s
+    if term is None:
+        term = UNARY[s](k, body.term)
     if w[s] is not None and w[o] is None:
-        mine = UNARY[s](k, w[s])
+        # a body that is its own witness makes this term its own
+        mine = term if w[s] is body.term else UNARY[s](k, w[s])
     elif w[o] is not None:
         mine = witness_of(s, built)  # disconnect: any (co)point serves
     else:
         mine = None
-    return _make(s, UNARY[s](k, body.term), body.end(s), built, mine, w[o], (body,))
+    return _make(s, term, body.end(s), built, mine, w[o], (body,))
 
 
-def ann_pair(s: int, left: AnnotatedTerm, right: AnnotatedTerm) -> AnnotatedTerm:
-    """The tuple (``s = POINT``) or cotuple (``s = COPOINT``) of two
-    annotated terms."""
+def ann_pair(s: int, left: AnnotatedTerm, right: AnnotatedTerm, built: ObjectType,
+             term: Optional[Term] = None) -> AnnotatedTerm:
+    """The tuple (``s = POINT``) of two annotated terms into the product
+    ``built``, or their cotuple (``s = COPOINT``) out of the sum ``built``.
+    ``term`` is that term, when the caller holds it."""
     lw, rw = left.ann, right.ann
     o = 1 - s
-    built = PAIR_TYPE[s](left.end(o), right.end(o))
+    if term is None:
+        term = PAIR[s](left.term, right.term)
     free = left.end(s)
-    mine = PAIR[s](lw[s], rw[s]) if lw[s] is not None and rw[s] is not None else None
+    if lw[s] is None or rw[s] is None:
+        mine = None
+    elif lw[s] is left.term and rw[s] is right.term:
+        mine = term
+    else:
+        mine = PAIR[s](lw[s], rw[s])
     # a common witness of the other side must exist; a component with a
     # witness of this side too (hence disconnect) accepts any
     if (lw[o] is None or rw[o] is None
@@ -149,7 +159,7 @@ def ann_pair(s: int, left: AnnotatedTerm, right: AnnotatedTerm) -> AnnotatedTerm
         other = rw[o]
     else:
         other = witness_of(o, free)
-    return _make(s, PAIR[s](left.term, right.term), free, built, mine, other, (left, right))
+    return _make(s, term, free, built, mine, other, (left, right))
 
 
 def annotate(t: Term, dom: ObjectType, cod: ObjectType,
@@ -157,9 +167,11 @@ def annotate(t: Term, dom: ObjectType, cod: ObjectType,
     """Annotate every node of a typed cut-free term in one bottom-up pass.
 
     Terms and types are interned, so each distinct ``(subterm, dom, cod)``
-    is annotated once per call and its node shared.  ``counter`` still
-    counts tree nodes: a repeated subterm adds the visits its first
-    annotation took."""
+    is annotated once per call and its node shared.  Each node is built
+    from the subterm and types it was reached with; only new witnesses
+    are interned.  ``counter`` still counts tree nodes: a repeated
+    subterm adds the visits its first annotation took.  Raises
+    ValueError at a node whose shape does not fit its types."""
     return _annotate(t, dom, cod, counter, {})
 
 
@@ -175,29 +187,39 @@ def _annotate(t: Term, dom: ObjectType, cod: ObjectType,
         return done[0]
     if counter is not None:
         start = counter.visits
-        counter.tick()
-    match t:
-        case Bang():
-            a = ann_unit(POINT, dom)
-        case Quest():
-            a = ann_unit(COPOINT, cod)
-        case GenArrow():
-            a = _make(POINT, t, dom, cod, None, None, ())
-        case Proj(i, body):
-            assert isinstance(dom, Prod)
-            a = ann_unary(COPOINT, i, _annotate(body, dom.component(i), cod, counter, memo), dom)
-        case Inj(j, body):
-            assert isinstance(cod, Sum)
-            a = ann_unary(POINT, j, _annotate(body, dom, cod.component(j), counter, memo), cod)
-        case Tuple(left, right):
-            assert isinstance(cod, Prod)
-            a = ann_pair(POINT, _annotate(left, dom, cod.left, counter, memo),
-                         _annotate(right, dom, cod.right, counter, memo))
-        case Cotuple(left, right):
-            assert isinstance(dom, Sum)
-            a = ann_pair(COPOINT, _annotate(left, dom.left, cod, counter, memo),
-                         _annotate(right, dom.right, cod, counter, memo))
-        case _:
-            raise ValueError(f"annotate: not a cut-free term: {t!r}")
+        counter.visits += 1
+    kind = type(t)
+    if kind is Inj:
+        if not isinstance(cod, Sum):
+            raise ValueError(f"annotate: s{t.index} needs a sum codomain, got {cod!r}")
+        body = _annotate(t.body, dom, cod.component(t.index), counter, memo)
+        a = ann_unary(POINT, t.index, body, cod, t)
+    elif kind is Proj:
+        if not isinstance(dom, Prod):
+            raise ValueError(f"annotate: p{t.index} needs a product domain, got {dom!r}")
+        body = _annotate(t.body, dom.component(t.index), cod, counter, memo)
+        a = ann_unary(COPOINT, t.index, body, dom, t)
+    elif kind is Tuple:
+        if not isinstance(cod, Prod):
+            raise ValueError(f"annotate: a tuple needs a product codomain, got {cod!r}")
+        a = ann_pair(POINT, _annotate(t.left, dom, cod.left, counter, memo),
+                     _annotate(t.right, dom, cod.right, counter, memo), cod, t)
+    elif kind is Cotuple:
+        if not isinstance(dom, Sum):
+            raise ValueError(f"annotate: a cotuple needs a sum domain, got {dom!r}")
+        a = ann_pair(COPOINT, _annotate(t.left, dom.left, cod, counter, memo),
+                     _annotate(t.right, dom.right, cod, counter, memo), dom, t)
+    elif kind is Bang:
+        if cod is not ONE:
+            raise ValueError(f"annotate: '!' needs codomain 1, got {cod!r}")
+        a = ann_unit(POINT, dom)
+    elif kind is Quest:
+        if dom is not ZERO:
+            raise ValueError(f"annotate: '?' needs domain 0, got {dom!r}")
+        a = ann_unit(COPOINT, cod)
+    elif kind is GenArrow:
+        a = _make(POINT, t, dom, cod, None, None, ())
+    else:
+        raise ValueError(f"annotate: not a cut-free term: {t!r}")
     memo[key] = (a, counter.visits - start if counter is not None else 0)
     return a

@@ -121,7 +121,7 @@ def restrict(s: int, f: AnnotatedTerm, k: int, counter: VisitCounter) -> Annotat
     (``s = COPOINT``): the k-th branch of a pairing of side ``s``."""
     o = 1 - s
     assert isinstance(f.end(o), PAIR_TYPE[s])
-    counter.tick()
+    counter.visits += 1
     t = f.term
     if type(t) is PAIR[s]:
         return f.children[k]
@@ -129,7 +129,7 @@ def restrict(s: int, f: AnnotatedTerm, k: int, counter: VisitCounter) -> Annotat
         return ann_unary(o, t.index, restrict(s, f.children[0], k, counter), f.end(s))
     if type(t) is PAIR[o]:
         return ann_pair(o, restrict(s, f.children[0], k, counter),
-                        restrict(s, f.children[1], k, counter))
+                        restrict(s, f.children[1], k, counter), f.end(s))
     if t is UNIT[o]:
         return ann_unit(o, f.end(o).component(k))
     raise ValueError(f"restrict: unexpected shape {t!r}")

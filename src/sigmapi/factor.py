@@ -29,7 +29,7 @@ def factor(s: int, f: AnnotatedTerm, k: int,
     o = 1 - s
     assert isinstance(f.end(o), UNARY_TYPE[s]), "factor needs a sum codomain or a product domain"
     if counter is not None:
-        counter.tick()
+        counter.visits += 1
     t = f.term
     if type(t) is UNARY[s] and t.index == k:
         return f.children[0]
@@ -46,7 +46,7 @@ def factor(s: int, f: AnnotatedTerm, k: int,
         right = factor(s, f.children[1], k, counter)
         if right is None:
             return None
-        return ann_pair(o, left, right)
+        return ann_pair(o, left, right, f.end(s))
     if type(t) is UNARY[o]:
         body = factor(s, f.children[0], k, counter)
         if body is None:

@@ -1,4 +1,10 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from sigmapi import (
     BANG,
@@ -22,6 +28,9 @@ from sigmapi import (
     term_metrics,
     witness_of,
 )
+from sigmapi import types
+from sigmapi.bench import balanced_type
+from sigmapi.compose import identity
 
 
 def test_witness_of_examples():
@@ -203,3 +212,77 @@ def test_annotation_witnesses_stand_for_themselves():
                 points += a.ann[POINT] is not None
                 copoints += a.ann[COPOINT] is not None
     assert (points, copoints) == (125, 125)
+
+
+# each cut-free constructor at a typing its shape does not fit
+MISFITS = {
+    "bang": ("!", "1", "0"),
+    "quest": ("?", "1", "1"),
+    "proj": ("p0 !", "1", "1"),
+    "inj": ("s0 !", "1", "1"),
+    "tuple": ("<!, !>", "1", "1+1"),
+    "cotuple": ("{!, !}", "1*1", "1"),
+}
+
+
+@pytest.mark.parametrize("src,dom,cod", MISFITS.values(), ids=MISFITS.keys())
+def test_annotate_rejects_a_misfit_node(src, dom, cod):
+    with pytest.raises(ValueError, match="^annotate: "):
+        annotate(parse_term(src), parse_type(dom), parse_type(cod))
+
+
+def test_annotate_rejects_misfits_under_optimize():
+    # the checks are raises, not asserts, so ``python -O`` keeps them
+    script = (
+        "import sys\n"
+        "from sigmapi import annotate, parse_term, parse_type\n"
+        "failures = []\n"
+        f"for src, dom, cod in {list(MISFITS.values())!r}:\n"
+        "    try:\n"
+        "        annotate(parse_term(src), parse_type(dom), parse_type(cod))\n"
+        "        failures.append(src)\n"
+        "    except ValueError:\n"
+        "        pass\n"
+        "print(sys.flags.optimize, failures)\n"
+    )
+    src_dir = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src_dir, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["1", "[]"]
+
+
+def _distinct_nodes(t):
+    seen, todo = set(), [t]
+    while todo:
+        node = todo.pop()
+        if node not in seen:
+            seen.add(node)
+            todo.extend(getattr(node, name) for name in ("body", "left", "right")
+                        if hasattr(node, name))
+    return len(seen)
+
+
+def test_repeat_annotation_interns_nothing(monkeypatch):
+    # annotate builds each node from the term and types it is given; only
+    # a new witness is interned, and a repeat call has none left to make
+    x = balanced_type(12)
+    t = identity(x)
+    annotate(t, x, x)
+    calls = []
+    real = types._intern
+
+    def counting(cls, *fields):
+        calls.append(cls)
+        return real(cls, *fields)
+
+    monkeypatch.setattr(types, "_intern", counting)
+    for cls in (types.Term, types.ObjectType):
+        monkeypatch.setattr(cls, "__new__", counting)
+    before = len(types._INTERN)
+    annotate(t, x, x)
+    assert len(types._INTERN) == before
+    assert _distinct_nodes(t) == 32
+    assert len(calls) < 32, len(calls)
